@@ -326,7 +326,8 @@ class MeasurementSet:
     descriptor: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.float64)
+        # a copy: freezing below must not reach the caller's array
+        y = np.array(self.y, dtype=np.float64)
         if y.ndim != 1 or not np.all(np.isfinite(y)):
             raise ValueError("measurements must be a finite vector")
         if self.epsilon < 0:

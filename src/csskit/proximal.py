@@ -42,68 +42,118 @@ def hard_threshold_topk(v, k):
     return out
 
 
-def _grad(u):
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:-1, :] = u[1:, :] - u[:-1, :]
-    gy[:, :-1] = u[:, 1:] - u[:, :-1]
+def _grad(u, gx=None, gy=None):
+    """Forward differences over the last two axes, zero past the last
+    row/column; written into ``gx``/``gy`` when those buffers are given."""
+    if gx is None:
+        gx = np.empty_like(u)
+        gy = np.empty_like(u)
+    np.subtract(u[..., 1:, :], u[..., :-1, :], out=gx[..., :-1, :])
+    gx[..., -1, :] = 0.0
+    np.subtract(u[..., 1:], u[..., :-1], out=gy[..., :-1])
+    gy[..., -1] = 0.0
     return gx, gy
 
 
-def _div(px, py):
-    # negative adjoint of _grad; last row/col of the dual field is ignored
-    dx = np.zeros_like(px)
-    if px.shape[0] > 1:
-        dx[0, :] = px[0, :]
-        dx[1:-1, :] = px[1:-1, :] - px[:-2, :]
-        dx[-1, :] = -px[-2, :]
-    dy = np.zeros_like(py)
-    if py.shape[1] > 1:
-        dy[:, 0] = py[:, 0]
-        dy[:, 1:-1] = py[:, 1:-1] - py[:, :-2]
-        dy[:, -1] = -py[:, -2]
-    return dx + dy
+def _div(px, py, out=None, tmp=None):
+    """Negative adjoint of ``_grad`` over the last two axes; the last row of
+    ``px`` and the last column of ``py`` are ignored. Written into ``out``,
+    with ``tmp`` as scratch, when those buffers are given."""
+    if out is None:
+        out = np.empty_like(px)
+        tmp = np.empty_like(py)
+    dx, dy = out, tmp
+    if px.shape[-2] > 1:
+        dx[..., 0, :] = px[..., 0, :]
+        np.subtract(px[..., 1:-1, :], px[..., :-2, :], out=dx[..., 1:-1, :])
+        dx[..., -1, :] = -px[..., -2, :]
+    else:
+        dx[...] = 0.0
+    if py.shape[-1] > 1:
+        dy[..., 0] = py[..., 0]
+        np.subtract(py[..., 1:-1], py[..., :-2], out=dy[..., 1:-1])
+        # plain assignment: np.negative with a strided column as ``out=``
+        # writes wrong values under some NumPy releases
+        dy[..., -1] = -py[..., -2]
+    else:
+        dy[...] = 0.0
+    return np.add(dx, dy, out=out)
+
+
+def _tv(u):
+    """Isotropic TV of each image, summed over the last two axes."""
+    gx, gy = _grad(u)
+    return np.sum(np.sqrt(gx**2 + gy**2), axis=(-2, -1))
 
 
 def tv_norm(image):
     """Isotropic total variation under the module's discretization."""
-    gx, gy = _grad(np.asarray(image, dtype=np.float64))
-    return float(np.sum(np.sqrt(gx**2 + gy**2)))
+    return float(_tv(np.asarray(image, dtype=np.float64)))
 
 
 def tv_prox(image, lam, max_iters=100, tol=1e-5):
     """Prox of lam*TV at ``image`` via Chambolle's dual projection.
 
+    ``image`` is one 2-D image or a ``(k, rows, cols)`` stack; each image of
+    a stack gets its own prox, computed in one loop over the whole stack.
     Iterates p <- (p + tau*grad(div p - image/lam)) / (1 + tau*|...|) and
-    returns image - lam*div(p). Stops when the relative dual change drops
-    below ``tol``. The ROF objective lam*TV(u) + 0.5*||u - image||^2 at the
-    output never exceeds its value at the input (guarded explicitly).
+    returns image - lam*div(p). An image stops when its relative dual change
+    drops below ``tol``; its dual field is then frozen while the others go
+    on. The ROF objective lam*TV(u) + 0.5*||u - image||^2 of each output
+    image never exceeds its value at the input (guarded explicitly). Every
+    step is elementwise or a per-image sum, so a stack gives exactly the
+    results of separate 2-D calls.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    if lam == 0 or image.size < 2:
+    if image.ndim not in (2, 3):
+        raise ValueError("expected a 2-D image or a (k, rows, cols) stack")
+    if lam == 0 or image.shape[-2] * image.shape[-1] < 2:
         return image.copy()
-    px = np.zeros_like(image)
-    py = np.zeros_like(image)
-    scaled = image / lam
+    stack = image.reshape((-1,) + image.shape[-2:])
+    scaled = stack / lam
+    # dual fields (px, py) of the images still iterating, and of the whole
+    # stack: a stopped image's entries in p_all are final
+    p = np.zeros((2,) + scaled.shape)
+    p_all = np.zeros_like(p)
+    active = np.arange(stack.shape[0])
+    q, g, w = np.empty_like(p), np.empty_like(p), np.empty_like(p)
     for _ in range(int(max_iters)):
-        gx, gy = _grad(_div(px, py) - scaled)
-        mag = np.sqrt(gx**2 + gy**2)
-        denom = 1.0 + TV_DUAL_STEP * mag
-        px_new = (px + TV_DUAL_STEP * gx) / denom
-        py_new = (py + TV_DUAL_STEP * gy) / denom
-        change = np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2))
-        base = max(np.sqrt(np.sum(px**2 + py**2)), 1e-12)
-        px, py = px_new, py_new
-        if change / base < tol:
-            break
-    u = image - lam * _div(px, py)
-    if lam * tv_norm(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv_norm(image):
-        return image.copy()
-    return u
+        d, tmp = w
+        _div(p[0], p[1], d, tmp)
+        d -= scaled
+        _grad(d, g[0], g[1])
+        sq = np.square(g, out=q)
+        denom = np.sqrt(np.add(sq[0], sq[1], out=d), out=d)
+        denom *= TV_DUAL_STEP
+        denom += 1.0
+        np.multiply(g, TV_DUAL_STEP, out=q)
+        q += p
+        q /= denom
+        # per-pixel squared dual change in w[0] and squared dual norm in w[1]
+        sq = np.square(np.subtract(q, p, out=g), out=g)
+        np.add(sq[0], sq[1], out=w[0])
+        sq = np.square(p, out=g)
+        np.add(sq[0], sq[1], out=w[1])
+        change, base = np.sqrt(np.sum(w, axis=(-2, -1)))
+        p, q = q, p
+        stop = change / np.maximum(base, 1e-12) < tol
+        if stop.any():
+            p_all[:, active[stop]] = p[:, stop]
+            keep = ~stop
+            active = active[keep]
+            if active.size == 0:
+                break
+            p, scaled = p[:, keep], scaled[keep]
+            q, g, w = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+    else:
+        p_all[:, active] = p
+    u = stack - lam * _div(p_all[0], p_all[1])
+    rof = lam * _tv(u) + 0.5 * np.sum((u - stack) ** 2, axis=(-2, -1))
+    worse = rof > lam * _tv(stack)
+    u[worse] = stack[worse]
+    return u.reshape(image.shape)
 
 
 def simplex_project_rows(S):

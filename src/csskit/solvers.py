@@ -111,7 +111,9 @@ class SolveResult:
     ``converged`` means the iterate-change criterion fired AND the certified
     point sits on the measurement ball (within 1e-6*||y|| slack); a stalled
     infeasible run reports False. ``trace`` holds one
-    ``(residual, relative_change)`` pair per iteration.
+    ``(residual, relative_change)`` pair per iteration. ``flags`` names
+    what went wrong along the way, e.g. ``"ball-projection-capped"`` when
+    an iterative ball projection stopped at its iteration cap.
     """
 
     s_hat: np.ndarray | None
@@ -175,11 +177,13 @@ class _CoreColumnsMap:
         return self.core.adjoint(y.reshape(self.core.m_hat, self.cols, order="F"))
 
 
-def _ball_machinery(L, y, epsilon, config, shape):
+def _ball_machinery(L, y, epsilon, config, shape, flags):
     """Return (prox, certify) for the measurement-fidelity ball of L.
 
     Tight frames get the exact closed form; everything else the iterative
     dual forward-backward projection with a one-time operator-norm estimate.
+    A projection that stops at ``config.ball_max_iters`` adds
+    ``"ball-projection-capped"`` to the ``flags`` set.
     """
     if L.nu is not None:
         def project(S):
@@ -188,9 +192,11 @@ def _ball_machinery(L, y, epsilon, config, shape):
         norm_est = operator_norm(L, shape, iters=config.power_iters)
 
         def project(S):
-            out, _ = l2ball_project_fb(
+            out, converged = l2ball_project_fb(
                 S, y, L, epsilon, config.ball_max_iters, config.ball_tol, norm_est
             )
+            if not converged:
+                flags.add("ball-projection-capped")
             return out
 
     return (lambda S, w: project(S)), project
@@ -221,13 +227,14 @@ def _run_engine(proxes, shape, config, residual_fn):
     return s, trace, converged, diverged
 
 
-def _tv_columns_prox(wavelet, config):
-    def prox(S, w):
-        out = np.empty_like(S)
-        for j in range(S.shape[1]):
-            img = S[:, j].reshape(wavelet.rows, wavelet.cols)
-            out[:, j] = tv_prox(img, w, config.tv_max_iters, config.tv_tol).ravel()
-        return out
+def _tv_columns_prox(rows, cols, config):
+    """Prox of w*TV on each column of an ``(n1, k)`` matrix, every column
+    read as a ``rows x cols`` image; one ``tv_prox`` call over the stack."""
+    def prox(X, w):
+        k = X.shape[1]
+        out = tv_prox(X.T.reshape(k, rows, cols), w, config.tv_max_iters, config.tv_tol)
+        # C order like X, so norms of the iterates sum in an unchanged order
+        return np.ascontiguousarray(out.reshape(k, rows * cols).T)
 
     return prox
 
@@ -258,15 +265,15 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
     L = SourceSpaceMap(problem.operator, problem.effective_mixing)
     shape = (problem.operator.n1, problem.rho)
 
+    wav = problem.wavelet
     if problem.prior == "tv":
-        prior_prox = _tv_columns_prox(problem.wavelet, config)
+        prior_prox = _tv_columns_prox(wav.rows, wav.cols, config)
     else:
-        wav = problem.wavelet
-
         def prior_prox(S, w):
             return wav.inverse_cols(soft_threshold(wav.forward_cols(S), w))
 
-    ball_prox, ball_project = _ball_machinery(L, y, epsilon, config, shape)
+    flags: set[str] = set()
+    ball_prox, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
     proxes = [prior_prox, ball_prox]
     if problem.constraints:
         proxes.append(lambda S, w: simplex_project_rows(S))
@@ -282,7 +289,7 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
     res_cert = residual(s_cert)
     # an iterate can stall (change below rel_tol) without being feasible,
     # e.g. on an unreachable measurement ball; only certified points count
-    converged = converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y)
+    converged = bool(converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y))
     return SolveResult(
         s_hat=s_cert,
         theta_hat=None,
@@ -292,6 +299,7 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
         converged=converged,
         diverged=diverged,
         trace=tuple(trace),
+        flags=tuple(sorted(flags)),
     )
 
 
@@ -373,6 +381,9 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
             break
     s_hat = wav.inverse_cols(theta)
     res = float(np.linalg.norm(y - L.forward(s_hat)))
+    # as in ppxa_solve: a stalled iterate off the measurement ball has not converged
+    eps = problem.measurements.epsilon
+    converged = bool(converged and res <= eps + 1e-6 * np.linalg.norm(y))
     return SolveResult(
         s_hat=s_hat,
         theta_hat=theta,
@@ -387,7 +398,8 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
 
 
 def _two_function_solve(M, y, epsilon, config, shape, prior_prox):
-    ball_prox, ball_project = _ball_machinery(M, y, epsilon, config, shape)
+    flags: set[str] = set()
+    ball_prox, ball_project = _ball_machinery(M, y, epsilon, config, shape, flags)
 
     def residual(t):
         return float(np.linalg.norm(y - M.forward(t)))
@@ -398,8 +410,8 @@ def _two_function_solve(M, y, epsilon, config, shape, prior_prox):
     raw = residual(t)
     t_cert = ball_project(t)
     res_cert = residual(t_cert)
-    converged = converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y)
-    return t_cert, raw, res_cert, trace, converged, diverged
+    converged = bool(converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y))
+    return t_cert, raw, res_cert, trace, converged, diverged, tuple(sorted(flags))
 
 
 def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float,
@@ -419,7 +431,7 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
     def prior_prox(t, w):
         return soft_threshold(t, w)
 
-    t_cert, raw, res, trace, converged, diverged = _two_function_solve(
+    t_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
         M, np.asarray(y, dtype=np.float64), epsilon, config, shape, prior_prox
     )
     cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, wavelet.inverse_cols(t_cert))
@@ -432,6 +444,7 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
         converged=converged,
         diverged=diverged,
         trace=tuple(trace),
+        flags=flags,
     )
     return cube, result
 
@@ -453,15 +466,8 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
     M = _CubeMap(operator)
     shape = (operator.n1, operator.n2)
 
-    def prior_prox(X, w):
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = tv_prox(
-                X[:, j].reshape(rows, cols), w, config.tv_max_iters, config.tv_tol
-            ).ravel()
-        return out
-
-    x_cert, raw, res, trace, converged, diverged = _two_function_solve(
+    prior_prox = _tv_columns_prox(rows, cols, config)
+    x_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
         M, np.asarray(y, dtype=np.float64), epsilon, config, shape, prior_prox
     )
     cube = HsiCube(rows, cols, operator.n2, x_cert)
@@ -474,6 +480,7 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
         converged=converged,
         diverged=diverged,
         trace=tuple(trace),
+        flags=flags,
     )
     return cube, result
 
@@ -510,15 +517,17 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
         traces = []
         all_conv = True
         any_div = False
+        flags: set[str] = set()
         for j in range(H.rho):
             Mj = _SynthesisMap(_CoreColumnsMap(core, 1), wavelet)
-            t_cert, _, _, trace, conv, div = _two_function_solve(
+            t_cert, _, _, trace, conv, div, flags_j = _two_function_solve(
                 Mj, Y[:, j], 0.0, config, (operator.n1, 1), prior_prox
             )
             thetas.append(t_cert[:, 0])
             traces.append(trace)
             all_conv &= conv
             any_div |= div
+            flags.update(flags_j)
         theta = np.column_stack(thetas)
         iters = max(len(t) for t in traces)
         merged = []
@@ -539,10 +548,11 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
             converged=all_conv,
             diverged=any_div,
             trace=tuple(merged),
+            flags=tuple(sorted(flags)),
         )
 
     M = _SynthesisMap(L, wavelet)
-    t_cert, raw, res, trace, converged, diverged = _two_function_solve(
+    t_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
         M, y, epsilon, config, shape, prior_prox
     )
     return SolveResult(
@@ -554,6 +564,7 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
         converged=converged,
         diverged=diverged,
         trace=tuple(trace),
+        flags=flags,
     )
 
 

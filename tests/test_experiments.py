@@ -145,6 +145,16 @@ def test_diverged_solve_is_recorded_and_sweep_continues():
         assert math.isfinite(row.reconstruction_snr_db)
 
 
+def test_iht_stalled_off_the_measurement_ball_is_not_converged():
+    # IHT stalls here after 50 iterations with residual 14.7 against |y| = 41.0
+    config = ExperimentConfig(
+        scene=SceneSpec(16, 16, channels=8, rho=2), scheme="uniform",
+        core="gaussian", method="iht", seed=3)
+    (row,) = run_experiment(config)
+    assert row.iterations < config.solver.max_iters
+    assert row.converged is False
+
+
 def test_smoke_instance_classifies_perfectly():
     config = ExperimentConfig(
         scene=SceneSpec(16, 16, channels=8, rho=2, seed=0),

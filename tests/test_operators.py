@@ -313,3 +313,12 @@ def test_measurement_set_epsilon_snr_coupling():
         MeasurementSet(np.ones(4), 0.5, np.inf, {})
     mset = MeasurementSet(np.ones(4), 0.0, np.inf, {})
     assert mset.epsilon == 0.0
+
+
+def test_measurement_set_leaves_caller_array_writeable():
+    y = np.ones(4)
+    mset = MeasurementSet(y, 0.0, np.inf, {})
+    assert y.flags.writeable
+    assert not mset.y.flags.writeable
+    y[0] = 5.0
+    assert mset.y[0] == 1.0

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from csskit.operators import NotTightFrame, make_core_operator
 from csskit.proximal import (
+    TV_DUAL_STEP,
     hard_threshold_topk,
     l2ball_project_fb,
     l2ball_project_tightframe,
@@ -129,6 +133,110 @@ def test_tv_prox_never_increases_rof_objective():
         before = lam * tv_norm(img)
         after = lam * tv_norm(out) + 0.5 * np.sum((out - img) ** 2)
         assert after <= before + 1e-12
+
+
+def reference_tv_prox(image, lam, max_iters, tol):
+    """The one-image Chambolle loop, allocating afresh in every iteration.
+
+    Returns the prox and the number of iterations run, so tests can tell
+    when two images of a stack stop at different iterations.
+    """
+    def grad(u):
+        gx = np.zeros_like(u)
+        gy = np.zeros_like(u)
+        gx[:-1, :] = u[1:, :] - u[:-1, :]
+        gy[:, :-1] = u[:, 1:] - u[:, :-1]
+        return gx, gy
+
+    def div(px, py):
+        dx = np.zeros_like(px)
+        if px.shape[0] > 1:
+            dx[0, :] = px[0, :]
+            dx[1:-1, :] = px[1:-1, :] - px[:-2, :]
+            dx[-1, :] = -px[-2, :]
+        dy = np.zeros_like(py)
+        if py.shape[1] > 1:
+            dy[:, 0] = py[:, 0]
+            dy[:, 1:-1] = py[:, 1:-1] - py[:, :-2]
+            dy[:, -1] = -py[:, -2]
+        return dx + dy
+
+    def tv(u):
+        gx, gy = grad(u)
+        return float(np.sum(np.sqrt(gx**2 + gy**2)))
+
+    if lam == 0 or image.size < 2:
+        return image.copy(), 0
+    px = np.zeros_like(image)
+    py = np.zeros_like(image)
+    scaled = image / lam
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        gx, gy = grad(div(px, py) - scaled)
+        denom = 1.0 + TV_DUAL_STEP * np.sqrt(gx**2 + gy**2)
+        px_new = (px + TV_DUAL_STEP * gx) / denom
+        py_new = (py + TV_DUAL_STEP * gy) / denom
+        change = np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2))
+        base = max(np.sqrt(np.sum(px**2 + py**2)), 1e-12)
+        px, py = px_new, py_new
+        if change / base < tol:
+            break
+    u = image - lam * div(px, py)
+    if lam * tv(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv(image):
+        return image.copy(), iters
+    return u, iters
+
+
+@st.composite
+def image_stacks(draw):
+    k = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.sampled_from([1, 2, 3, 7, 8, 8, 9]))  # 8 columns twice as often
+    values = st.floats(-10.0, 10.0, allow_nan=False, width=64)
+    stack = draw(arrays(np.float64, (k, rows, cols), elements=values))
+    # images at very different scales stop at very different iterations
+    scales = draw(st.lists(st.sampled_from([1e-2, 1.0, 1e2]), min_size=k, max_size=k))
+    return stack * np.array(scales)[:, None, None]
+
+
+TWO_SCALES = np.stack([
+    100.0 * np.random.default_rng(5).uniform(size=(8, 8)),
+    0.01 * np.random.default_rng(6).uniform(size=(8, 8)),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=image_stacks(),
+    lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    max_iters=st.integers(0, 60),
+    tol=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.3]),
+)
+@example(stack=TWO_SCALES, lam=0.5, max_iters=100, tol=1e-3)
+def test_tv_prox_stack_equals_separate_calls(stack, lam, max_iters, tol):
+    got = tv_prox(stack, lam, max_iters, tol)
+    assert got.shape == stack.shape
+    for i, image in enumerate(stack):
+        single = tv_prox(image, lam, max_iters, tol)
+        reference, _ = reference_tv_prox(image, lam, max_iters, tol)
+        assert got[i].tobytes() == single.tobytes() == reference.tobytes()
+
+
+def test_two_scale_example_stops_at_different_iterations():
+    # the premise of the @example above: one image stops long before the other
+    stops = [reference_tv_prox(image, 0.5, 100, 1e-3)[1] for image in TWO_SCALES]
+    assert stops[0] != stops[1] and max(stops) < 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.one_of(
+    st.just(()),
+    st.lists(st.integers(1, 3), min_size=1, max_size=1),
+    st.lists(st.integers(1, 3), min_size=4, max_size=5),
+))
+def test_tv_prox_rejects_other_ranks(shape):
+    with pytest.raises(ValueError):
+        tv_prox(np.ones(shape), 0.5)
 
 
 def test_simplex_rows_examples():

@@ -161,7 +161,7 @@ def test_ppxa_certified_output_invariants(desk_scene):
     y = op.forward(scene.cube.data, space="data")
     prob = RecoveryProblem(noiseless(y), op, Wavelet2D(16, 16), 2, prior="l1-wavelet")
     res = ppxa_solve(prob, SolverConfig(max_iters=1500, rel_tol=1e-7))
-    assert res.converged
+    assert res.converged is True  # a plain bool, so result.json can hold it
     # certified feasibility: residual within slack, rows exactly stochastic
     assert res.residual <= 0.0 + 1e-6 * np.linalg.norm(y)
     assert np.all(res.s_hat >= 0.0)
@@ -185,6 +185,22 @@ def test_ppxa_infeasible_ball_reports_unconverged():
     assert not res.converged and not res.diverged
     assert np.isfinite(res.residual) and res.residual > 1.0
     np.testing.assert_allclose(res.s_hat.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_ppxa_flags_capped_ball_projection(det_scene):
+    scene = det_scene
+    config = SolverConfig(beta=0.3, max_iters=5, rel_tol=0.0, ball_max_iters=2)
+    for scheme, core, capped in (("uniform", "gaussian", True),
+                                 ("decorrelating", RC, False)):
+        op = make_sampling_operator(
+            scheme, core, 64, 4, seed=16, m_hat=32, mixing=scene.mixing
+        )
+        y = op.forward(scene.cube.data, space="data")
+        prob = RecoveryProblem(
+            noiseless(y), op, Wavelet2D(8, 8), 2, prior="l1-wavelet", mixing=scene.mixing
+        )
+        res = ppxa_solve(prob, config)
+        assert ("ball-projection-capped" in res.flags) is capped
 
 
 def test_scheme_equivalence_postprocessed_uniform_vs_decorrelating(desk_scene):
