@@ -30,14 +30,21 @@ from .wavelets import Wavelet2D
 
 PRIORS = ("tv", "l1-wavelet")
 
+# operator_norm is a power-iteration lower bound on ||M||. At 50 iterations
+# it fell short by up to 3.3 % on gaussian and bernoulli cores, so IHT's
+# default step on a map that is not a tight frame uses the estimate inflated
+# by this factor.
+_IHT_NORM_MARGIN = 1.1
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls shared by all solvers.
 
     beta is the proximal weight of the splitting; gamma_step overrides the
-    hard-thresholding step size (default 1/||M||^2 with the operator norm
-    from 50 power iterations, exact for tight frames); iht_k is the sparsity
+    hard-thresholding step size (default 1/||M||^2: exact for tight frames,
+    else with the power-iteration norm estimate inflated by 10 % so the
+    step stays below the bound); iht_k is the sparsity
     budget of the hard-thresholding solver.
     """
 
@@ -160,21 +167,6 @@ class _CubeMap:
 
     def adjoint(self, y):
         return self.op.adjoint(y)
-
-
-class _CoreColumnsMap:
-    """The core operator applied per column, with stacked vector output."""
-
-    def __init__(self, core, cols: int):
-        self.core = core
-        self.cols = cols
-        self.nu = core.nu
-
-    def forward(self, S):
-        return self.core.forward(S).ravel(order="F")
-
-    def adjoint(self, y):
-        return self.core.adjoint(y.reshape(self.core.m_hat, self.cols, order="F"))
 
 
 def _ball_machinery(L, y, epsilon, config, shape, flags):
@@ -334,7 +326,9 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     shape = (n1, problem.rho)
     gamma = config.gamma_step
     if gamma is None:
-        norm_sq = M.nu if M.nu is not None else operator_norm(M, shape, config.power_iters) ** 2
+        norm_sq = M.nu
+        if norm_sq is None:
+            norm_sq = (_IHT_NORM_MARGIN * operator_norm(M, shape, config.power_iters)) ** 2
         gamma = 1.0 / norm_sq
 
     def notify(iteration, step, theta):
@@ -427,12 +421,8 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
     config = config if config is not None else SolverConfig()
     M = _SynthesisMap(_CubeMap(operator), wavelet)
     shape = (operator.n1, operator.n2)
-
-    def prior_prox(t, w):
-        return soft_threshold(t, w)
-
     t_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
-        M, np.asarray(y, dtype=np.float64), epsilon, config, shape, prior_prox
+        M, np.asarray(y, dtype=np.float64), epsilon, config, shape, soft_threshold
     )
     cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, wavelet.inverse_cols(t_cert))
     result = SolveResult(
@@ -487,73 +477,21 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
 
 def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
                           wavelet: Wavelet2D, epsilon: float,
-                          config: SolverConfig | None = None,
-                          decouple: bool | None = None) -> SolveResult:
+                          config: SolverConfig | None = None) -> SolveResult:
     """Source recovery as unconstrained synthesis-sparsity minimization.
 
     Minimizes the l1 norm of the stacked source coefficients over the
     measurement ball; no simplex constraint. Under the decorrelating scheme
-    with epsilon = 0 the problem separates exactly into one recovery per
-    source; that path is taken automatically (``decouple=False`` forces the
-    joint solve, e.g. to cross-check the separation).
+    with epsilon = 0 the problem separates into one recovery per source:
+    the affine ball projection and the l1 prox both act column by column,
+    so the joint iteration is the per-source iteration, and one joint solve
+    runs them all (only its stopping test looks at every source at once).
     """
     config = config if config is not None else SolverConfig()
-    y = np.asarray(y, dtype=np.float64)
-    L = SourceSpaceMap(operator, H)
-    shape = (operator.n1, H.rho)
-    separable = operator.scheme == "decorrelating" and epsilon == 0.0
-    if decouple is None:
-        decouple = separable
-    elif decouple and not separable:
-        raise ValueError("decoupling requires decorrelating measurements with epsilon=0")
-
-    def prior_prox(t, w):
-        return soft_threshold(t, w)
-
-    if decouple:
-        core = operator.core
-        Y = y.reshape(core.m_hat, H.rho, order="F")
-        thetas = []
-        traces = []
-        all_conv = True
-        any_div = False
-        flags: set[str] = set()
-        for j in range(H.rho):
-            Mj = _SynthesisMap(_CoreColumnsMap(core, 1), wavelet)
-            t_cert, _, _, trace, conv, div, flags_j = _two_function_solve(
-                Mj, Y[:, j], 0.0, config, (operator.n1, 1), prior_prox
-            )
-            thetas.append(t_cert[:, 0])
-            traces.append(trace)
-            all_conv &= conv
-            any_div |= div
-            flags.update(flags_j)
-        theta = np.column_stack(thetas)
-        iters = max(len(t) for t in traces)
-        merged = []
-        for n in range(iters):
-            res = math.sqrt(
-                sum(t[min(n, len(t) - 1)][0] ** 2 for t in traces)
-            )
-            chg = max(t[min(n, len(t) - 1)][1] for t in traces)
-            merged.append((res, chg))
-        M = _SynthesisMap(L, wavelet)
-        raw = float(np.linalg.norm(y - M.forward(theta)))
-        return SolveResult(
-            s_hat=wavelet.inverse_cols(theta),
-            theta_hat=theta,
-            iterations=iters,
-            residual=raw,
-            raw_residual=raw,
-            converged=all_conv,
-            diverged=any_div,
-            trace=tuple(merged),
-            flags=tuple(sorted(flags)),
-        )
-
-    M = _SynthesisMap(L, wavelet)
+    M = _SynthesisMap(SourceSpaceMap(operator, H), wavelet)
     t_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
-        M, y, epsilon, config, shape, prior_prox
+        M, np.asarray(y, dtype=np.float64), epsilon, config, (operator.n1, H.rho),
+        soft_threshold
     )
     return SolveResult(
         s_hat=wavelet.inverse_cols(t_cert),

@@ -5,6 +5,12 @@ the time-reversed filters and downsamples; synthesis is the exact transpose,
 so the transform is orthonormal at every dyadic size (periodization wraps
 even-lag autocorrelations, which vanish for orthonormal filters).
 
+Transforms are batched: one level loop runs over a ``(rows, cols, q)`` stack
+of images, the stack axis trailing, so a C-ordered ``(n1, q)`` matrix of
+column images is transformed in place of a per-column loop. Every output is
+summed in the same tap order as the one-image transform, so batching does
+not change a bit of the result.
+
 Coefficient layout is the usual nested-quadrant arrangement: the coarsest
 approximation sits in the top-left corner, detail bands fill the remaining
 quadrants level by level.
@@ -45,32 +51,76 @@ def _qmf(h: np.ndarray) -> np.ndarray:
     return g
 
 
-def _analyze(a: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    """Periodic convolution with ``filt`` then keep even phases along ``axis``."""
-    acc = filt[0] * a
-    for k in range(1, filt.size):
-        acc = acc + filt[k] * np.roll(a, -k, axis=axis)
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(0, None, 2)
-    return acc[tuple(sl)]
+def _along(axis: int, sl: slice) -> tuple:
+    # index of a (rows, cols, q) stack: ``sl`` on ``axis``, everything elsewhere
+    return (slice(None),) * axis + (sl,)
 
 
-def _synthesize(c: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of :func:`_analyze`: upsample by 2 then periodic correlation."""
-    shape = list(c.shape)
-    shape[axis] *= 2
-    z = np.zeros(shape, dtype=c.dtype)
-    sl = [slice(None)] * c.ndim
-    sl[axis] = slice(0, None, 2)
-    z[tuple(sl)] = c
-    acc = filt[0] * z
-    for k in range(1, filt.size):
-        acc = acc + filt[k] * np.roll(z, k, axis=axis)
-    return acc
+def _periodic(a: np.ndarray, start: int, stop: int, axis: int) -> np.ndarray:
+    # ext[j - start] = a[j mod n] for j in [start, stop); ``a`` itself if no wrap
+    n = a.shape[axis]
+    if start == 0 and stop == n:
+        return a
+    return np.take(a, np.arange(start, stop) % n, axis=axis)
+
+
+def _analyze(a: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
+    """Periodic convolution with ``h`` and with ``g`` along ``axis``, even
+    phases only: output ``i`` is ``sum_k filt[k] * a[(2i + k) mod n]``, the
+    terms added in tap order. Returns ``(lowpass, highpass)``."""
+    n = a.shape[axis]
+    ext = _periodic(a, 0, n + h.size - 2, axis)
+    for k in range(h.size):
+        t = ext[_along(axis, slice(k, k + n - 1, 2))]
+        if k == 0:
+            lo, hi = h[0] * t, g[0] * t
+        else:
+            lo += h[k] * t
+            hi += g[k] * t
+    return lo, hi
+
+
+def _synthesize(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
+                axis: int) -> np.ndarray:
+    """Transpose of :func:`_analyze`: ``lo`` upsampled by 2 along ``axis``
+    and periodically correlated with ``h``, plus the same of ``hi`` with ``g``.
+
+    Output ``2i + p`` of one filter is ``sum_k filt[k] * c[i - (k - p) / 2]``
+    over the taps ``k`` of parity ``p``, added in tap order. The other taps
+    meet the inserted zeros and add only signed zeros. For an orthonormal
+    pair one of them, in ``h`` or ``g``, is positive (``h`` sums to sqrt(2)
+    and alternates to 0), so they include a ``+0``; ``+ 0.0`` reproduces
+    its one effect, turning a ``-0`` sum into ``+0``.
+    """
+    n = lo.shape[axis]
+    pad = h.size // 2 - 1
+    ext_lo = _periodic(lo, -pad, n, axis)
+    ext_hi = _periodic(hi, -pad, n, axis)
+    shape = list(lo.shape)
+    shape[axis] = 2 * n
+    out = np.empty(shape)
+    for p in (0, 1):
+        for k in range(p, h.size, 2):
+            m = pad - (k - p) // 2
+            sl = _along(axis, slice(m, m + n))
+            if k == p:
+                acc_lo, acc_hi = h[k] * ext_lo[sl], g[k] * ext_hi[sl]
+            else:
+                acc_lo += h[k] * ext_lo[sl]
+                acc_hi += g[k] * ext_hi[sl]
+        acc_lo += acc_hi
+        acc_lo += 0.0
+        out[_along(axis, slice(p, None, 2))] = acc_lo
+    return out
 
 
 class Wavelet2D:
     """Orthonormal periodized 2-D wavelet transform on fixed image dims.
+
+    Every transform runs one level loop over a ``(rows, cols, q)`` stack of
+    images, so ``forward_cols``/``inverse_cols`` transform all ``q`` columns
+    of an ``(n1, q)`` matrix at once, with the same bytes as one image at a
+    time.
 
     Parameters
     ----------
@@ -106,21 +156,14 @@ class Wavelet2D:
     def n1(self) -> int:
         return self.rows * self.cols
 
-    def forward(self, image: np.ndarray) -> np.ndarray:
-        """Analysis: image -> coefficient array of the same shape."""
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (self.rows, self.cols):
-            raise ValueError(f"expected shape ({self.rows}, {self.cols})")
-        out = image.copy()
+    def _analysis(self, stack: np.ndarray) -> np.ndarray:
+        # the level loop on a (rows, cols, q) stack; returns a new array
+        out = stack.copy()
         r, c = self.rows, self.cols
         for _ in range(self.levels):
-            block = out[:r, :c]
-            lo = _analyze(block, self._h, axis=0)
-            hi = _analyze(block, self._g, axis=0)
-            ll = _analyze(lo, self._h, axis=1)
-            lh = _analyze(lo, self._g, axis=1)
-            hl = _analyze(hi, self._h, axis=1)
-            hh = _analyze(hi, self._g, axis=1)
+            lo, hi = _analyze(out[:r, :c], self._h, self._g, axis=0)
+            ll, lh = _analyze(lo, self._h, self._g, axis=1)
+            hl, hh = _analyze(hi, self._h, self._g, axis=1)
             r2, c2 = r // 2, c // 2
             out[:r2, :c2] = ll
             out[:r2, c2:c] = lh
@@ -129,42 +172,52 @@ class Wavelet2D:
             r, c = r2, c2
         return out
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesis: coefficient array -> image. Exact transpose of forward."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (self.rows, self.cols):
-            raise ValueError(f"expected shape ({self.rows}, {self.cols})")
-        out = coeffs.copy()
+    def _synthesis(self, stack: np.ndarray) -> np.ndarray:
+        # exact transpose of _analysis, level by level from the coarsest
+        out = stack.copy()
+        h, g = self._h, self._g
         scale = 2**self.levels
         r, c = self.rows // scale, self.cols // scale
         for _ in range(self.levels):
             r2, c2 = 2 * r, 2 * c
-            ll = out[:r, :c]
-            lh = out[:r, c:c2]
-            hl = out[r:r2, :c]
-            hh = out[r:r2, c:c2]
-            lo = _synthesize(ll, self._h, axis=1) + _synthesize(lh, self._g, axis=1)
-            hi = _synthesize(hl, self._h, axis=1) + _synthesize(hh, self._g, axis=1)
-            out[:r2, :c2] = _synthesize(lo, self._h, axis=0) + _synthesize(hi, self._g, axis=0)
+            lo = _synthesize(out[:r, :c], out[:r, c:c2], h, g, axis=1)
+            hi = _synthesize(out[r:r2, :c], out[r:r2, c:c2], h, g, axis=1)
+            out[:r2, :c2] = _synthesize(lo, hi, h, g, axis=0)
             r, c = r2, c2
         return out
 
-    def forward_cols(self, mat: np.ndarray) -> np.ndarray:
-        """Analyze each column of an ``(n1, q)`` matrix as a row-major image."""
+    def _image(self, image: np.ndarray) -> np.ndarray:
+        image = np.asarray(image, dtype=np.float64)
+        if image.shape != (self.rows, self.cols):
+            raise ValueError(f"expected shape ({self.rows}, {self.cols})")
+        return image[:, :, None]
+
+    def _columns(self, mat: np.ndarray, transform) -> np.ndarray:
         mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
         if mat.shape[0] != self.n1:
             raise ValueError(f"expected {self.n1} rows")
+        # a C-ordered matrix reshapes to the stack without a copy
+        stack = transform(mat.reshape(self.rows, self.cols, mat.shape[1]))
+        # in the caller's memory layout: NumPy reductions over the result,
+        # such as the solvers' norms, sum in memory order
         out = np.empty_like(mat)
-        for j in range(mat.shape[1]):
-            out[:, j] = self.forward(mat[:, j].reshape(self.rows, self.cols)).ravel()
+        out[...] = stack.reshape(mat.shape)
         return out
 
+    def forward(self, image: np.ndarray) -> np.ndarray:
+        """Analysis: image -> coefficient array of the same shape."""
+        return self._analysis(self._image(image))[:, :, 0]
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Synthesis: coefficient array -> image. Exact transpose of forward."""
+        return self._synthesis(self._image(coeffs))[:, :, 0]
+
+    def forward_cols(self, mat: np.ndarray) -> np.ndarray:
+        """Analyze every column of an ``(n1, q)`` matrix, each read as a
+        row-major image, in one batched pass."""
+        return self._columns(mat, self._analysis)
+
     def inverse_cols(self, mat: np.ndarray) -> np.ndarray:
-        """Synthesize each column of an ``(n1, q)`` coefficient matrix."""
-        mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-        if mat.shape[0] != self.n1:
-            raise ValueError(f"expected {self.n1} rows")
-        out = np.empty_like(mat)
-        for j in range(mat.shape[1]):
-            out[:, j] = self.inverse(mat[:, j].reshape(self.rows, self.cols)).ravel()
-        return out
+        """Synthesize every column of an ``(n1, q)`` coefficient matrix in
+        one batched pass."""
+        return self._columns(mat, self._synthesis)
