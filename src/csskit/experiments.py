@@ -12,9 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,16 +180,14 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     (without the volatile wall-time column).
     """
     spec = config.scene
-    cells = list(itertools.product(
-        enumerate(config.rates), enumerate(config.snrs_db), range(config.trials)))
-
-    def run_cell(cell):
-        (i_rate, rate), (i_snr, snr_db), trial = cell
+    rows = []
+    for (i_rate, rate), (i_snr, snr_db), trial in itertools.product(
+            enumerate(config.rates), enumerate(config.snrs_db), range(config.trials)):
         scene_seed, op_seed, noise_seed = _cell_seeds(config, i_rate, i_snr, trial)
         scene = generate_scene(dataclasses.replace(spec, seed=scene_seed))
         _, result, rec_snr, src_snr, acc, wall = _solve_cell(
             config, scene, rate, snr_db, op_seed, noise_seed)
-        return ResultRow(
+        rows.append(ResultRow(
             rows=spec.rows, cols=spec.cols, channels=spec.channels,
             rho=spec.rho, partition=spec.partition, disjoint=spec.disjoint,
             target_xi=spec.target_xi, scheme=config.scheme, core=config.core,
@@ -199,14 +195,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             snr_db=snr_db, trial=trial, seed=config.seed,
             reconstruction_snr_db=rec_snr, source_snr_db=src_snr,
             accuracy=acc, wall_time_s=wall, iterations=result.iterations,
-            converged=result.converged, diverged=result.diverged)
-
-    workers = int(os.environ.get("CSSKIT_THREADS", "1") or 1)
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+            converged=result.converged, diverged=result.diverged))
 
     if config.output is not None:
         from .io import write_results_csv

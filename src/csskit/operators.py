@@ -280,9 +280,11 @@ def make_sampling_operator(scheme: str, kind: str, n1: int, n2: int, seed: int,
 class SourceSpaceMap:
     """The solver-facing linear map from sources ``S`` to measurements.
 
-    decorrelating: block application of the core to each source column
-    (tight frame whenever the core is). dense/uniform: the cube-space map
-    composed with the mixing, ``S -> op(S @ H.T)``.
+    decorrelating: block application of the core to each source column,
+    ``I_rho (x) A`` (tight frame whenever the core is). uniform: ``H (x) A``,
+    evaluated as ``(A S) H^T`` with adjoint ``A^T (Y H)``, so the core acts on
+    ``rho`` columns rather than ``n2``. dense: the cube-space map composed
+    with the mixing, ``S -> op(S @ H.T)``.
     """
 
     def __init__(self, op: SamplingOperator, mixing: MixingMatrix | None = None):
@@ -301,13 +303,18 @@ class SourceSpaceMap:
         return None
 
     def forward(self, S: np.ndarray) -> np.ndarray:
+        S = np.asarray(S, dtype=np.float64)
         if self.op.scheme == "decorrelating":
-            return self.op.core.forward(np.asarray(S, dtype=np.float64)).ravel(order="F")
-        return self.op.forward(np.asarray(S, dtype=np.float64) @ self.mixing.data.T)
+            return self.op.core.forward(S).ravel(order="F")
+        if self.op.scheme == "uniform":
+            return (self.op.core.forward(S) @ self.mixing.data.T).ravel(order="F")
+        return self.op.forward(S @ self.mixing.data.T)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if self.op.scheme == "decorrelating":
             return self.op.adjoint(y, space="sources")
+        if self.op.scheme == "uniform":
+            return self.op.core.adjoint(self.op.y_as_matrix(y) @ self.mixing.data)
         return self.op.adjoint(y) @ self.mixing.data
 
 

@@ -21,6 +21,7 @@ from .operators import MeasurementSet, SamplingOperator, SourceSpaceMap, operato
 from .proximal import (
     hard_threshold_topk,
     l2ball_project_fb,
+    l2ball_project_svd,
     l2ball_project_tightframe,
     simplex_project_rows,
     soft_threshold,
@@ -32,8 +33,8 @@ PRIORS = ("tv", "l1-wavelet")
 
 # operator_norm is a power-iteration lower bound on ||M||. At 50 iterations
 # it fell short by up to 3.3 % on gaussian and bernoulli cores, so IHT's
-# default step on a map that is not a tight frame uses the estimate inflated
-# by this factor.
+# default step on a map with neither a tight-frame constant nor a core SVD
+# (the uniform and dense schemes) uses the estimate inflated by this factor.
 _IHT_NORM_MARGIN = 1.1
 
 
@@ -42,10 +43,11 @@ class SolverConfig:
     """Iteration controls shared by all solvers.
 
     beta is the proximal weight of the splitting; gamma_step overrides the
-    hard-thresholding step size (default 1/||M||^2: exact for tight frames,
-    else with the power-iteration norm estimate inflated by 10 % so the
-    step stays below the bound); iht_k is the sparsity
-    budget of the hard-thresholding solver.
+    hard-thresholding step size (default 1/||M||^2: exact for tight frames
+    and for decorrelating non-tight cores, whose SVD gives ||M|| =
+    sigma_max(A); else with the power-iteration norm estimate inflated by
+    10 % so the step stays below the bound); iht_k is the sparsity budget of
+    the hard-thresholding solver.
     """
 
     beta: float = 1.0
@@ -169,17 +171,40 @@ class _CubeMap:
         return self.op.adjoint(y)
 
 
+def _core_svd(L):
+    """Thin SVD ``(U, sig, Vt)`` of the core ``A`` of a decorrelating source
+    map ``I_rho (x) A`` that is not a tight frame, or None: for any other
+    map, and for a numerically rank-deficient core, whose affine set may be
+    empty and whose SVD solve would divide by ~0."""
+    if not isinstance(L, SourceSpaceMap) or L.op.scheme != "decorrelating" or L.nu is not None:
+        return None
+    A = L.op.core.as_matrix()
+    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
+    if sig[-1] <= sig[0] * max(A.shape) * np.finfo(np.float64).eps:
+        return None
+    return U, sig, Vt
+
+
 def _ball_machinery(L, y, epsilon, config, shape, flags):
     """Return (prox, certify) for the measurement-fidelity ball of L.
 
-    Tight frames get the exact closed form; everything else the iterative
-    dual forward-backward projection with a one-time operator-norm estimate.
-    A projection that stops at ``config.ball_max_iters`` adds
-    ``"ball-projection-capped"`` to the ``flags`` set.
+    Tight frames get the exact closed form, and a decorrelating map on a
+    full-rank non-tight core the exact projection from the core's SVD.
+    Everything else gets the iterative dual forward-backward projection with
+    a one-time operator-norm estimate. A projection that stops at
+    ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to the
+    ``flags`` set.
     """
+    svd = _core_svd(L)
     if L.nu is not None:
         def project(S):
             return l2ball_project_tightframe(S, y, L, epsilon, L.nu)
+    elif svd is not None:
+        core = L.op.core
+        Y = y.reshape(core.m_hat, -1, order="F")
+
+        def project(S):
+            return l2ball_project_svd(S, Y, core, epsilon, svd)
     else:
         norm_est = operator_norm(L, shape, iters=config.power_iters)
 
@@ -326,8 +351,13 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     shape = (n1, problem.rho)
     gamma = config.gamma_step
     if gamma is None:
-        norm_sq = M.nu
-        if norm_sq is None:
+        # the wavelets are orthonormal, so ||M|| = ||L||
+        svd = _core_svd(L)
+        if M.nu is not None:
+            norm_sq = M.nu
+        elif svd is not None:
+            norm_sq = svd[1][0] ** 2
+        else:
             norm_sq = (_IHT_NORM_MARGIN * operator_norm(M, shape, config.power_iters)) ** 2
         gamma = 1.0 / norm_sq
 

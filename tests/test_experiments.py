@@ -84,22 +84,6 @@ def test_csv_rerun_is_byte_identical(tmp_path):
     assert out.read_bytes() == blob
 
 
-def test_threaded_run_matches_sequential(tmp_path, monkeypatch):
-    seq_csv = tmp_path / "seq.csv"
-    monkeypatch.delenv("CSSKIT_THREADS", raising=False)
-    seq_rows = rows_without_walltime(
-        run_experiment(tiny_grid_config(output=str(seq_csv))))
-
-    par_csv = tmp_path / "par.csv"
-    monkeypatch.setenv("CSSKIT_THREADS", "4")
-    par_rows = rows_without_walltime(
-        run_experiment(tiny_grid_config(output=str(par_csv))))
-
-    assert par_rows == seq_rows
-    # rows land in grid order no matter which worker finishes first
-    assert par_csv.read_bytes() == seq_csv.read_bytes()
-
-
 def test_iht_default_sparsity_budget():
     config = tiny_grid_config(
         rates=(0.5,), snrs_db=(math.inf,), trials=1,

@@ -52,6 +52,8 @@ CASES = [
      SolverConfig(beta=0.05, max_iters=40, rel_tol=0.0)),
     ("ppxa-l1-gaussian", "ppxa-l1", "uniform", "gaussian", "haar", math.inf,
      SolverConfig(beta=0.3, max_iters=10, rel_tol=0.0, ball_max_iters=30)),
+    ("ppxa-l1-gaussian-dec", "ppxa-l1", "decorrelating", "gaussian", "haar", math.inf,
+     SolverConfig(beta=0.3, max_iters=10, rel_tol=0.0, ball_max_iters=30)),
     ("iht-haar", "iht", "decorrelating", RC, "haar", math.inf,
      SolverConfig(max_iters=20, rel_tol=0.0)),
     ("iht-db4", "iht", "decorrelating", RC, "db4", math.inf,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csskit.model import MixingMatrix
 from csskit.operators import (
@@ -15,6 +17,8 @@ from csskit.operators import (
     operator_norm,
     verify_tight_frame,
 )
+from csskit.solvers import _SynthesisMap
+from csskit.wavelets import Wavelet2D
 
 RC = "random-convolution"
 
@@ -219,6 +223,50 @@ def test_source_space_map_matches_composition():
     S = rng.random((16, 3))
     np.testing.assert_allclose(
         L.forward(S), dec.core.forward(S).ravel(order="F"), atol=1e-14)
+
+
+@st.composite
+def source_maps(draw, schemes=("dense", "uniform", "decorrelating")):
+    """A SourceSpaceMap on a random scheme, core kind and shape, with the
+    image dims of its pixel axis (powers of two: random-convolution cores
+    and wavelets need them)."""
+    scheme = draw(st.sampled_from(schemes))
+    kind = draw(st.sampled_from(["gaussian", "bernoulli", RC]))
+    rows, cols = 2 ** draw(st.integers(1, 3)), 2 ** draw(st.integers(1, 3))
+    n1 = rows * cols
+    rho = draw(st.integers(1, 3))
+    n2 = 2 ** draw(st.integers(max(rho - 1, 0), 3))
+    seed = draw(st.integers(0, 2**31 - 1))
+    H = random_mixing(np.random.default_rng(seed), n2, rho)
+    if scheme == "dense":
+        sizes = {"m": draw(st.integers(1, n1 * n2))}
+    else:
+        sizes = {"m_hat": draw(st.integers(1, n1))}
+    op = make_sampling_operator(scheme, kind, n1, n2, seed=seed, mixing=H, **sizes)
+    return SourceSpaceMap(op, H), rows, cols, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=source_maps(), family=st.sampled_from(["haar", "db4"]))
+def test_source_and_synthesis_maps_are_adjoint(case, family):
+    L, rows, cols, seed = case
+    rng = np.random.default_rng(seed + 1)
+    S = rng.normal(size=L.shape_in)
+    y = rng.normal(size=L.m)
+    scale = np.linalg.norm(S) * np.linalg.norm(y) + 1.0
+    assert abs(float(L.forward(S) @ y) - float(np.sum(S * L.adjoint(y)))) <= 1e-12 * scale
+    M = _SynthesisMap(L, Wavelet2D(rows, cols, family))
+    assert abs(float(M.forward(S) @ y) - float(np.sum(S * M.adjoint(y)))) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=source_maps(schemes=("uniform",)))
+def test_uniform_source_map_matches_the_cube_path(case):
+    L, _, _, seed = case
+    S = np.random.default_rng(seed + 2).normal(size=L.shape_in)
+    want = L.op.forward(S @ L.mixing.data.T, space="data")
+    got = L.forward(S)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # --- decorrelation post-processing ------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
@@ -10,6 +10,7 @@ from csskit.proximal import (
     TV_DUAL_STEP,
     hard_threshold_topk,
     l2ball_project_fb,
+    l2ball_project_svd,
     l2ball_project_tightframe,
     simplex_project_rows,
     soft_threshold,
@@ -366,6 +367,57 @@ def test_fb_ball_matches_kkt_oracle_dense():
         assert np.max(np.abs(got - oracle)) < 1e-4
         # terminal residual honors the ball up to the documented slack
         assert np.linalg.norm(y - A @ got) <= eps * (1.0 + 1e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "bernoulli"]),
+    n1=st.integers(1, 24),
+    m_frac=st.floats(0.0, 1.0),
+    rho=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    regime=st.sampled_from(["zero", "feasible", "infeasible"]),
+    frac=st.floats(0.05, 0.95),
+)
+def test_svd_ball_matches_kkt_oracle_and_is_optimal(kind, n1, m_frac, rho, seed,
+                                                     regime, frac):
+    m_hat = 1 + int(m_frac * (n1 - 1))
+    core = make_core_operator(kind, m_hat, n1, seed=seed % 2**31)
+    A = core.as_matrix()
+    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
+    # the documented precondition: full row rank (a rank-deficient core is
+    # routed to the iterative projection by the solvers)
+    assume(sig[-1] > sig[0] * n1 * np.finfo(np.float64).eps)
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(n1, rho))
+    Y = 2.0 * rng.normal(size=(m_hat, rho))
+    S0, Y0 = S.copy(), Y.copy()
+    r0 = float(np.linalg.norm(Y - A @ S))
+    epsilon = {"zero": 0.0, "feasible": r0 * (1.0 + frac), "infeasible": r0 * frac}[regime]
+
+    P = l2ball_project_svd(S, Y, core, epsilon, (U, sig, Vt))
+    np.testing.assert_array_equal(S, S0)
+    np.testing.assert_array_equal(Y, Y0)
+    if regime == "feasible":
+        np.testing.assert_array_equal(P, S)
+        return
+    oracle = kkt_ball_projection(
+        np.kron(np.eye(rho), A), S.ravel(order="F"), Y.ravel(order="F"), epsilon
+    ).reshape(n1, rho, order="F")
+    assert np.max(np.abs(P - oracle)) <= 1e-8 * max(1.0, float(np.max(np.abs(oracle))))
+    assert np.linalg.norm(Y - A @ P) <= epsilon + 1e-9 * (np.linalg.norm(Y) + 1.0)
+    # variational inequality <S - P, X - P> <= 0 over feasible points X: the
+    # minimum-norm solution A^+ (Y - E) with ||E|| <= epsilon, plus any
+    # null-space part. Rounding scales with the largest of the three points
+    # (a tiny S can have a huge correction when sigma_min is small).
+    pinv = Vt.T @ (U.T / sig[:, None])
+    for _ in range(5):
+        E = rng.normal(size=Y.shape)
+        E *= epsilon * rng.uniform() / max(np.linalg.norm(E), 1e-300)
+        Z = rng.normal(size=S.shape)
+        X = pinv @ (Y - E) + Z - pinv @ (A @ Z)
+        scale = max(np.sum(S * S), np.sum(P * P), np.sum(X * X))
+        assert np.sum((S - P) * (X - P)) <= 1e-9 * scale
 
 
 def test_prox_maps_are_nonexpansive():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csskit import solvers
 from csskit.model import MixingMatrix, SourceMatrix, mix, validate_sources
 from csskit.operators import (
     MeasurementSet,
@@ -11,7 +12,7 @@ from csskit.operators import (
     make_core_operator,
     make_sampling_operator,
 )
-from csskit.proximal import simplex_project_rows, tv_norm
+from csskit.proximal import l2ball_project_fb, simplex_project_rows, tv_norm
 from csskit.scenes import SceneSpec, accuracy, generate_scene, reconstruction_snr
 from csskit.solvers import (
     RecoveryProblem,
@@ -192,7 +193,8 @@ def test_ppxa_flags_capped_ball_projection(det_scene):
     scene = det_scene
     config = SolverConfig(beta=0.3, max_iters=5, rel_tol=0.0, ball_max_iters=2)
     for scheme, core, capped in (("uniform", "gaussian", True),
-                                 ("decorrelating", RC, False)):
+                                 ("decorrelating", RC, False),
+                                 ("decorrelating", "gaussian", False)):
         op = make_sampling_operator(
             scheme, core, 64, 4, seed=16, m_hat=32, mixing=scene.mixing
         )
@@ -288,6 +290,59 @@ def test_iht_default_step_is_safe_on_a_non_tight_map():
     np.testing.assert_allclose(first["theta"], gamma * grad, rtol=1e-9, atol=1e-12)
     assert gamma <= 1.0 / exact**2
     assert gamma >= 0.75 / exact**2
+
+
+def test_iht_default_step_is_exact_on_a_decorrelating_non_tight_map():
+    # I_rho (x) A composed with orthonormal wavelets: ||M|| = sigma_max(A)
+    seeds = np.random.SeedSequence(3, spawn_key=(0, 0, 0)).generate_state(3)
+    scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=int(seeds[0])))
+    op = make_sampling_operator("decorrelating", "gaussian", 256, 8,
+                                seed=int(seeds[1]), m_hat=128, mixing=scene.mixing)
+    y = op.forward(scene.cube.data, space="data")
+    wav = Wavelet2D(16, 16)
+    first = {}
+
+    def monitor(it, step, theta):
+        if (it, step) == (1, 1):
+            first["theta"] = theta.copy()
+
+    iht_ss_solve(RecoveryProblem(noiseless(y), op, wav, 2, mixing=scene.mixing),
+                 SolverConfig(max_iters=1, iht_k=40), step_monitor=monitor)
+    # from theta = 0 the first gradient step is gamma * M^T y
+    L = SourceSpaceMap(op, scene.mixing)
+    grad = wav.forward_cols(L.adjoint(y))
+    gamma = float(np.sum(first["theta"] * grad) / np.sum(grad * grad))
+    np.testing.assert_allclose(first["theta"], gamma * grad, rtol=1e-9, atol=1e-12)
+    sigma_max = np.linalg.norm(op.core.as_matrix(), 2)
+    assert gamma == pytest.approx(1.0 / sigma_max**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["dense", "uniform"])
+def test_fb_ball_step_is_safe(det_scene, scheme, monkeypatch):
+    # the dual forward-backward step sigma = 1/||L||_est^2 converges for any
+    # sigma * ||L||^2 < 2; ||L|| exact from the map's dense matrix
+    scene = det_scene
+    sizes = {"m": 96} if scheme == "dense" else {"m_hat": 24}
+    op = make_sampling_operator(scheme, "gaussian", 64, 4, seed=21,
+                                mixing=scene.mixing, **sizes)
+    L = SourceSpaceMap(op, scene.mixing)
+    dense = np.stack([L.forward(e.reshape(64, 2)) for e in np.eye(128)], axis=1)
+    exact = np.linalg.norm(dense, 2)
+    norms = []
+
+    def spy(s, y, lmap, epsilon, max_iters, tol, op_norm):
+        norms.append(op_norm)
+        return l2ball_project_fb(s, y, lmap, epsilon, max_iters, tol, op_norm)
+
+    monkeypatch.setattr(solvers, "l2ball_project_fb", spy)
+    y = op.forward(scene.cube.data, space="data")
+    ppxa_solve(RecoveryProblem(noiseless(y), op, Wavelet2D(8, 8), 2,
+                               prior="l1-wavelet", mixing=scene.mixing),
+               SolverConfig(max_iters=2, rel_tol=0.0))
+    assert norms
+    for norm in norms:
+        sigma = 1.0 / norm**2
+        assert 0.0 < sigma * exact**2 < 2.0
 
 
 def test_iht_quarter_rate_separation(desk_scene):
