@@ -20,22 +20,12 @@ import numpy as np
 
 from . import io as fio
 from .bounds import BoundQuery, measurement_bound, theorem1_constants
+from .experiments import METHODS, operator_sizes, recover
 from .model import MixingMatrix
 from .operators import CORE_KINDS, SCHEMES, add_noise, make_sampling_operator
 from .scenes import SceneSpec, accuracy, generate_scene, reconstruction_snr
-from .solvers import (
-    SolverConfig,
-    RecoveryProblem,
-    bpdn_solve,
-    iht_ss_solve,
-    l1_ss_synthesis_solve,
-    ppxa_solve,
-    reconstruct_cube,
-    tvdn_solve,
-)
+from .solvers import SolverConfig
 from .wavelets import FAMILIES, Wavelet2D
-
-_METHODS = ("ppxa-tv", "ppxa-l1", "iht", "bpdn", "tvdn", "l1-ss")
 
 
 def _load_json(path: str) -> dict:
@@ -66,10 +56,7 @@ def _cmd_sample(args) -> int:
     n1, n2 = cube.n1, cube.channels
     if mixing.n2 != n2:
         raise ValueError(f"spectra have {mixing.n2} channels, cube has {n2}")
-    if args.scheme == "dense":
-        m_hat, m = None, max(1, min(n1 * n2, round(args.rate * n1 * n2)))
-    else:
-        m_hat, m = max(1, min(n1, round(args.rate * n1))), None
+    m_hat, m = operator_sizes(args.scheme, args.rate, n1, n2)
     op_seed, noise_seed = (int(v) for v in
                            np.random.SeedSequence(args.seed).generate_state(2))
     op = make_sampling_operator(args.scheme, args.core, n1, n2, seed=op_seed,
@@ -115,31 +102,11 @@ def _cmd_recover(args) -> int:
         seed=int(desc["operator_seed"]), m_hat=desc.get("m_hat"),
         m=desc.get("m_dense"), mixing=mixing)
     config, wavelet_name = _solver_config(args.config)
-    rows, cols = int(desc["rows"]), int(desc["cols"])
-    wav = Wavelet2D(rows, cols, wavelet_name)
+    wav = Wavelet2D(int(desc["rows"]), int(desc["cols"]), wavelet_name)
     os.makedirs(args.out, exist_ok=True)
-
-    if args.method in ("ppxa-tv", "ppxa-l1", "iht"):
-        prior = "l1-wavelet" if args.method == "ppxa-l1" else "tv"
-        problem = RecoveryProblem(mset, op, wav, mixing.rho, prior=prior,
-                                  constraints=True, mixing=mixing)
-        if args.method == "iht":
-            if config.iht_k is None:
-                raise ValueError("iht needs iht_k in the solver config")
-            result = iht_ss_solve(problem, config)
-        else:
-            result = ppxa_solve(problem, config)
-        cube_hat = reconstruct_cube(result.s_hat, mixing, (rows, cols))
+    cube_hat, result = recover(args.method, mset, op, mixing, wav, config)
+    if result.s_hat is not None:
         fio.write_sources(result.s_hat, os.path.join(args.out, "sources_hat.f64"))
-    elif args.method == "l1-ss":
-        result = l1_ss_synthesis_solve(mset.y, op, mixing, wav, mset.epsilon, config)
-        cube_hat = reconstruct_cube(result.s_hat, mixing, (rows, cols))
-        fio.write_sources(result.s_hat, os.path.join(args.out, "sources_hat.f64"))
-    elif args.method == "bpdn":
-        cube_hat, result = bpdn_solve(mset.y, op, wav, mset.epsilon, config)
-    else:
-        cube_hat, result = tvdn_solve(mset.y, op, mset.epsilon, config,
-                                      rows=rows, cols=cols)
     fio.write_cube(cube_hat, os.path.join(args.out, "cube_hat.f64"))
     summary = {
         "method": args.method, "iterations": result.iterations,
@@ -219,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="solve a recovery problem")
     p.add_argument("--measurements", required=True)
-    p.add_argument("--method", required=True, choices=_METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--config", help="solver config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_recover)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import MixingMatrix
-from .operators import SCHEMES, add_noise, make_sampling_operator
+from .operators import SCHEMES, MeasurementSet, SamplingOperator, add_noise, make_sampling_operator
 from .scenes import Scene, SceneSpec, accuracy, generate_scene, reconstruction_snr
 from .solvers import (
     RecoveryProblem,
@@ -33,7 +33,6 @@ from .solvers import (
 from .wavelets import Wavelet2D
 
 METHODS = ("ppxa-tv", "ppxa-l1", "iht", "bpdn", "tvdn", "l1-ss")
-SOURCE_METHODS = ("ppxa-tv", "ppxa-l1", "iht", "l1-ss")
 
 CSV_FIELDS = [
     "rows", "cols", "channels", "rho", "partition", "disjoint", "target_xi",
@@ -106,26 +105,49 @@ class ResultRow:
 
 def _cell_seeds(config: ExperimentConfig, i_rate: int, i_snr: int, trial: int):
     ss = np.random.SeedSequence(config.seed, spawn_key=(i_rate, i_snr, trial))
-    scene_seed, op_seed, noise_seed = (int(v) for v in ss.generate_state(3))
-    return scene_seed, op_seed, noise_seed
+    return tuple(int(v) for v in ss.generate_state(3))
 
 
-def _operator_sizes(scheme: str, rate: float, n1: int, n2: int):
+def operator_sizes(scheme: str, rate: float, n1: int, n2: int):
+    """``(m_hat, m)`` for a sampling rate: core rows per block for the
+    blockwise schemes, total rows for dense; the other one is None."""
     if scheme == "dense":
         return None, max(1, min(n1 * n2, round(rate * n1 * n2)))
     return max(1, min(n1, round(rate * n1))), None
 
 
-def _default_iht_k(scene: Scene, wavelet: Wavelet2D) -> int:
-    theta = wavelet.forward_cols(np.asarray(scene.sources.data))
-    return max(1, int(np.count_nonzero(np.abs(theta) > 1e-12)))
+def recover(method: str, mset: MeasurementSet, op: SamplingOperator, mixing: MixingMatrix,
+            wavelet: Wavelet2D, config: SolverConfig):
+    """Run one recovery method on one measurement set.
+
+    Returns ``(cube_hat, result)``. ``result.s_hat`` holds the sources for
+    the source-recovery methods and is None for the cube baselines
+    (``bpdn``, ``tvdn``). ``iht`` needs ``config.iht_k``.
+    """
+    if method == "bpdn":
+        return bpdn_solve(mset.y, op, wavelet, mset.epsilon, config)
+    if method == "tvdn":
+        return tvdn_solve(mset.y, op, mset.epsilon, config,
+                          rows=wavelet.rows, cols=wavelet.cols)
+    if method == "l1-ss":
+        result = l1_ss_synthesis_solve(mset.y, op, mixing, wavelet, mset.epsilon, config)
+    elif method in ("ppxa-tv", "ppxa-l1", "iht"):
+        problem = RecoveryProblem(
+            mset, op, wavelet, mixing.rho,
+            prior="l1-wavelet" if method == "ppxa-l1" else "tv",
+            constraints=True, mixing=mixing)
+        solve = iht_ss_solve if method == "iht" else ppxa_solve
+        result = solve(problem, config)
+    else:
+        raise ValueError(f"method must be one of {METHODS}")
+    return reconstruct_cube(result.s_hat, mixing, (wavelet.rows, wavelet.cols)), result
 
 
 def _solve_cell(config: ExperimentConfig, scene: Scene, rate: float,
                 snr_db: float, op_seed: int, noise_seed: int):
     spec = config.scene
     n1 = spec.rows * spec.cols
-    m_hat, m = _operator_sizes(config.scheme, rate, n1, spec.channels)
+    m_hat, m = operator_sizes(config.scheme, rate, n1, spec.channels)
     op = make_sampling_operator(
         config.scheme, config.core, n1, spec.channels, seed=op_seed,
         m_hat=m_hat, m=m, mixing=scene.mixing)
@@ -133,43 +155,24 @@ def _solve_cell(config: ExperimentConfig, scene: Scene, rate: float,
     mset = add_noise(y_clean, snr_db, noise_seed)
     wav = Wavelet2D(spec.rows, spec.cols, config.wavelet)
     solver = config.solver
+    if config.method == "iht" and solver.iht_k is None:
+        # the budget defaults to the true sources' wavelet sparsity
+        theta = wav.forward_cols(np.asarray(scene.sources.data))
+        solver = dataclasses.replace(
+            solver, iht_k=max(1, int(np.count_nonzero(np.abs(theta) > 1e-12))))
 
     start = time.perf_counter()
-    if config.method in ("ppxa-tv", "ppxa-l1", "iht"):
-        prior = "l1-wavelet" if config.method == "ppxa-l1" else "tv"
-        problem = RecoveryProblem(
-            mset, op, wav, spec.rho, prior=prior, constraints=True,
-            mixing=scene.mixing)
-        if config.method == "iht":
-            if solver.iht_k is None:
-                solver = dataclasses.replace(solver, iht_k=_default_iht_k(scene, wav))
-            result = iht_ss_solve(problem, solver)
-        else:
-            result = ppxa_solve(problem, solver)
-        cube_hat = reconstruct_cube(result.s_hat, scene.mixing, (spec.rows, spec.cols))
-        s_hat = result.s_hat
-    elif config.method == "l1-ss":
-        result = l1_ss_synthesis_solve(
-            mset.y, op, scene.mixing, wav, mset.epsilon, solver)
-        cube_hat = reconstruct_cube(result.s_hat, scene.mixing, (spec.rows, spec.cols))
-        s_hat = result.s_hat
-    elif config.method == "bpdn":
-        cube_hat, result = bpdn_solve(mset.y, op, wav, mset.epsilon, solver)
-        s_hat = None
-    else:
-        cube_hat, result = tvdn_solve(
-            mset.y, op, mset.epsilon, solver, rows=spec.rows, cols=spec.cols)
-        s_hat = None
+    cube_hat, result = recover(config.method, mset, op, scene.mixing, wav, solver)
     wall = time.perf_counter() - start
 
     rec_snr = reconstruction_snr(scene.cube, cube_hat)
     src_snr = None
     acc = None
-    if s_hat is not None:
-        src_snr = reconstruction_snr(np.asarray(scene.sources.data), s_hat)
+    if result.s_hat is not None:
+        src_snr = reconstruction_snr(np.asarray(scene.sources.data), result.s_hat)
         if spec.disjoint:
-            acc = accuracy(scene.labels, s_hat)
-    return cube_hat, result, rec_snr, src_snr, acc, wall
+            acc = accuracy(scene.labels, result.s_hat)
+    return result, rec_snr, src_snr, acc, wall
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -185,7 +188,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             enumerate(config.rates), enumerate(config.snrs_db), range(config.trials)):
         scene_seed, op_seed, noise_seed = _cell_seeds(config, i_rate, i_snr, trial)
         scene = generate_scene(dataclasses.replace(spec, seed=scene_seed))
-        _, result, rec_snr, src_snr, acc, wall = _solve_cell(
+        result, rec_snr, src_snr, acc, wall = _solve_cell(
             config, scene, rate, snr_db, op_seed, noise_seed)
         rows.append(ResultRow(
             rows=spec.rows, cols=spec.cols, channels=spec.channels,

@@ -94,20 +94,9 @@ class SourceMatrix:
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.size == 0:
-            raise ValueError("sources must form a nonempty 2-D matrix")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("source entries must be finite")
-        if data.min() < -ROW_SUM_TOL or data.max() > 1.0 + ROW_SUM_TOL:
-            raise ValueError("source entries must lie in [0, 1]")
-        dev = np.abs(data.sum(axis=1) - 1.0).max()
-        if dev > ROW_SUM_TOL:
-            raise ValueError(f"row sums deviate from 1 by {dev:.3e}")
-        if self.disjoint:
-            ones = np.abs(data - 1.0) <= ROW_SUM_TOL
-            zeros = np.abs(data) <= ROW_SUM_TOL
-            if not np.all(ones.sum(axis=1) == 1) or not np.all(ones | zeros):
-                raise ValueError("disjoint sources must have one-hot rows")
+        report = validate_sources(data, self.disjoint)
+        if not report.ok:
+            raise ValueError("invalid sources: " + "; ".join(report.violations))
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -270,14 +259,22 @@ def normalize_mixing(H: MixingMatrix | NDArrayF) -> tuple[MixingMatrix, MixingDi
 
 
 def validate_sources(S: NDArrayF | SourceMatrix, disjoint: bool = False) -> ValidationReport:
-    """Check simplex (and optionally one-hot) structure of a source matrix.
+    """Check that a source matrix is a nonempty 2-D matrix of finite entries
+    in [0, 1] whose rows sum to 1 (and, with ``disjoint``, are one-hot).
 
-    Report-only: never raises on bad content.
+    Report-only: never raises on bad content (a row with a non-finite entry
+    has a non-finite row-sum deviation). :class:`SourceMatrix` raises
+    ``ValueError`` on any reported violation.
     """
     data = S.data if isinstance(S, SourceMatrix) else np.asarray(S, dtype=np.float64)
+    if data.ndim != 2 or data.size == 0:
+        return ValidationReport(0.0, 0, (), (f"shape {data.shape} is not a nonempty matrix",))
     violations: list[str] = []
-    dev = float(np.abs(data.sum(axis=1) - 1.0).max()) if data.size else 0.0
-    if dev > ROW_SUM_TOL:
+    nonfinite = int(np.count_nonzero(~np.isfinite(data)))
+    if nonfinite:
+        violations.append(f"{nonfinite} non-finite entries")
+    dev = float(np.abs(data.sum(axis=1) - 1.0).max())
+    if not dev <= ROW_SUM_TOL:
         violations.append(f"max row-sum deviation {dev:.3e}")
     out_of_range = int(np.sum((data < -ROW_SUM_TOL) | (data > 1.0 + ROW_SUM_TOL)))
     if out_of_range:

@@ -11,6 +11,7 @@ Douglas-Rachford up to parameterization (the baselines use that form).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -157,25 +158,13 @@ class _SynthesisMap:
         return self.wavelet.forward_cols(self.inner.adjoint(y))
 
 
-class _CubeMap:
-    """Adapter presenting a sampling operator as a plain cube-space map."""
-
-    def __init__(self, op: SamplingOperator):
-        self.op = op
-        self.nu = op.nu
-
-    def forward(self, X):
-        return self.op.forward(X, space="data")
-
-    def adjoint(self, y):
-        return self.op.adjoint(y)
-
-
 def _core_svd(L):
     """Thin SVD ``(U, sig, Vt)`` of the core ``A`` of a decorrelating source
-    map ``I_rho (x) A`` that is not a tight frame, or None: for any other
-    map, and for a numerically rank-deficient core, whose affine set may be
-    empty and whose SVD solve would divide by ~0."""
+    map ``I_rho (x) A`` that is not a tight frame, bare or composed with
+    wavelet synthesis, or None: for any other map, and for a numerically
+    rank-deficient core, whose affine set may be empty and whose SVD solve
+    would divide by ~0."""
+    L = L.inner if isinstance(L, _SynthesisMap) else L
     if not isinstance(L, SourceSpaceMap) or L.op.scheme != "decorrelating" or L.nu is not None:
         return None
     A = L.op.core.as_matrix()
@@ -189,22 +178,27 @@ def _ball_machinery(L, y, epsilon, config, shape, flags):
     """Return (prox, certify) for the measurement-fidelity ball of L.
 
     Tight frames get the exact closed form, and a decorrelating map on a
-    full-rank non-tight core the exact projection from the core's SVD.
-    Everything else gets the iterative dual forward-backward projection with
-    a one-time operator-norm estimate. A projection that stops at
-    ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to the
-    ``flags`` set.
+    full-rank non-tight core the exact projection from the core's SVD; with
+    wavelet synthesis ``M = L W^T`` in front, the wavelets are orthonormal,
+    so ``P_M(theta) = W P_L(W^T theta)``. Everything else gets the iterative
+    dual forward-backward projection with a one-time operator-norm
+    estimate. A projection that stops at ``config.ball_max_iters`` adds
+    ``"ball-projection-capped"`` to the ``flags`` set.
     """
     svd = _core_svd(L)
     if L.nu is not None:
         def project(S):
             return l2ball_project_tightframe(S, y, L, epsilon, L.nu)
     elif svd is not None:
-        core = L.op.core
+        wav = L.wavelet if isinstance(L, _SynthesisMap) else None
+        core = (L if wav is None else L.inner).op.core
         Y = y.reshape(core.m_hat, -1, order="F")
 
         def project(S):
-            return l2ball_project_svd(S, Y, core, epsilon, svd)
+            if wav is None:
+                return l2ball_project_svd(S, Y, core, epsilon, svd)
+            return wav.forward_cols(
+                l2ball_project_svd(wav.inverse_cols(S), Y, core, epsilon, svd))
     else:
         norm_est = operator_norm(L, shape, iters=config.power_iters)
 
@@ -256,6 +250,46 @@ def _tv_columns_prox(rows, cols, config):
     return prox
 
 
+def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False):
+    """Minimize the prior over the measurement ball of L (and, with
+    ``simplex``, the row simplex) by the proximal engine.
+
+    The final average is certified by one ball projection followed by one
+    simplex projection. Returns ``(estimate, result)``; the caller attaches
+    the estimate to the result in its own terms.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    flags: set[str] = set()
+    ball_prox, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
+    proxes = [prior_prox, ball_prox]
+    if simplex:
+        proxes.append(lambda S, w: simplex_project_rows(S))
+
+    def residual(S):
+        return float(np.linalg.norm(y - L.forward(S)))
+
+    s, trace, converged, diverged = _run_engine(proxes, shape, config, residual)
+    raw = residual(s)
+    s_cert = ball_project(s)
+    if simplex:
+        s_cert = simplex_project_rows(s_cert)
+    res_cert = residual(s_cert)
+    # an iterate can stall (change below rel_tol) without being feasible,
+    # e.g. on an unreachable measurement ball; only certified points count
+    converged = bool(converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y))
+    return s_cert, SolveResult(
+        s_hat=None,
+        theta_hat=None,
+        iterations=len(trace),
+        residual=res_cert,
+        raw_residual=raw,
+        converged=converged,
+        diverged=diverged,
+        trace=tuple(trace),
+        flags=tuple(sorted(flags)),
+    )
+
+
 def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> SolveResult:
     """Recover sources by parallel proximal splitting.
 
@@ -277,11 +311,6 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
         ``s_hat`` is the certified ``(n1, rho)`` source estimate.
     """
     config = config if config is not None else SolverConfig()
-    y = problem.measurements.y
-    epsilon = problem.measurements.epsilon
-    L = SourceSpaceMap(problem.operator, problem.effective_mixing)
-    shape = (problem.operator.n1, problem.rho)
-
     wav = problem.wavelet
     if problem.prior == "tv":
         prior_prox = _tv_columns_prox(wav.rows, wav.cols, config)
@@ -289,35 +318,11 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
         def prior_prox(S, w):
             return wav.inverse_cols(soft_threshold(wav.forward_cols(S), w))
 
-    flags: set[str] = set()
-    ball_prox, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
-    proxes = [prior_prox, ball_prox]
-    if problem.constraints:
-        proxes.append(lambda S, w: simplex_project_rows(S))
-
-    def residual(S):
-        return float(np.linalg.norm(y - L.forward(S)))
-
-    s, trace, converged, diverged = _run_engine(proxes, shape, config, residual)
-    raw = residual(s)
-    s_cert = ball_project(s)
-    if problem.constraints:
-        s_cert = simplex_project_rows(s_cert)
-    res_cert = residual(s_cert)
-    # an iterate can stall (change below rel_tol) without being feasible,
-    # e.g. on an unreachable measurement ball; only certified points count
-    converged = bool(converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y))
-    return SolveResult(
-        s_hat=s_cert,
-        theta_hat=None,
-        iterations=len(trace),
-        residual=res_cert,
-        raw_residual=raw,
-        converged=converged,
-        diverged=diverged,
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    s_hat, result = _splitting_solve(
+        SourceSpaceMap(problem.operator, problem.effective_mixing),
+        problem.measurements.y, problem.measurements.epsilon, config,
+        (problem.operator.n1, problem.rho), prior_prox, simplex=problem.constraints)
+    return dataclasses.replace(result, s_hat=s_hat)
 
 
 def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
@@ -421,23 +426,6 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     )
 
 
-def _two_function_solve(M, y, epsilon, config, shape, prior_prox):
-    flags: set[str] = set()
-    ball_prox, ball_project = _ball_machinery(M, y, epsilon, config, shape, flags)
-
-    def residual(t):
-        return float(np.linalg.norm(y - M.forward(t)))
-
-    t, trace, converged, diverged = _run_engine(
-        [prior_prox, ball_prox], shape, config, residual
-    )
-    raw = residual(t)
-    t_cert = ball_project(t)
-    res_cert = residual(t_cert)
-    converged = bool(converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y))
-    return t_cert, raw, res_cert, trace, converged, diverged, tuple(sorted(flags))
-
-
 def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float,
                config: SolverConfig | None = None) -> tuple[HsiCube, SolveResult]:
     """Full-cube baseline: minimum-l1 wavelet coefficients per channel.
@@ -449,24 +437,11 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
     if operator.scheme == "decorrelating":
         raise ValueError("cube baselines need dense or uniform measurements")
     config = config if config is not None else SolverConfig()
-    M = _SynthesisMap(_CubeMap(operator), wavelet)
-    shape = (operator.n1, operator.n2)
-    t_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
-        M, np.asarray(y, dtype=np.float64), epsilon, config, shape, soft_threshold
-    )
-    cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, wavelet.inverse_cols(t_cert))
-    result = SolveResult(
-        s_hat=None,
-        theta_hat=t_cert,
-        iterations=len(trace),
-        residual=res,
-        raw_residual=raw,
-        converged=converged,
-        diverged=diverged,
-        trace=tuple(trace),
-        flags=flags,
-    )
-    return cube, result
+    # a dense or uniform operator maps the cube straight to data space
+    theta, result = _splitting_solve(_SynthesisMap(operator, wavelet), y, epsilon, config,
+                                     (operator.n1, operator.n2), soft_threshold)
+    cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, wavelet.inverse_cols(theta))
+    return cube, dataclasses.replace(result, theta_hat=theta)
 
 
 def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
@@ -483,26 +458,9 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
     if rows * cols != operator.n1:
         raise ValueError("spatial shape does not factor the pixel count")
     config = config if config is not None else SolverConfig()
-    M = _CubeMap(operator)
-    shape = (operator.n1, operator.n2)
-
-    prior_prox = _tv_columns_prox(rows, cols, config)
-    x_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
-        M, np.asarray(y, dtype=np.float64), epsilon, config, shape, prior_prox
-    )
-    cube = HsiCube(rows, cols, operator.n2, x_cert)
-    result = SolveResult(
-        s_hat=None,
-        theta_hat=None,
-        iterations=len(trace),
-        residual=res,
-        raw_residual=raw,
-        converged=converged,
-        diverged=diverged,
-        trace=tuple(trace),
-        flags=flags,
-    )
-    return cube, result
+    x, result = _splitting_solve(operator, y, epsilon, config, (operator.n1, operator.n2),
+                                 _tv_columns_prox(rows, cols, config))
+    return HsiCube(rows, cols, operator.n2, x), result
 
 
 def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
@@ -518,22 +476,9 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
     runs them all (only its stopping test looks at every source at once).
     """
     config = config if config is not None else SolverConfig()
-    M = _SynthesisMap(SourceSpaceMap(operator, H), wavelet)
-    t_cert, raw, res, trace, converged, diverged, flags = _two_function_solve(
-        M, np.asarray(y, dtype=np.float64), epsilon, config, (operator.n1, H.rho),
-        soft_threshold
-    )
-    return SolveResult(
-        s_hat=wavelet.inverse_cols(t_cert),
-        theta_hat=t_cert,
-        iterations=len(trace),
-        residual=res,
-        raw_residual=raw,
-        converged=converged,
-        diverged=diverged,
-        trace=tuple(trace),
-        flags=flags,
-    )
+    theta, result = _splitting_solve(_SynthesisMap(SourceSpaceMap(operator, H), wavelet), y,
+                                     epsilon, config, (operator.n1, H.rho), soft_threshold)
+    return dataclasses.replace(result, s_hat=wavelet.inverse_cols(theta), theta_hat=theta)
 
 
 def harden_sources(S_hat) -> SourceMatrix:

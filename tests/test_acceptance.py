@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import brentq
 
 from csskit.bounds import empirical_rip, theorem1_constants
 from csskit.experiments import ExperimentConfig, run_experiment
@@ -32,6 +31,7 @@ from csskit.solvers import (
     tvdn_solve,
 )
 from csskit.wavelets import Wavelet2D
+from oracles import kkt_ball_projection
 
 RC = "random-convolution"
 
@@ -53,29 +53,6 @@ def conditioned_mixing(rng, n2, rho, xi):
     """Full-rank spectra with condition number exactly ``xi``."""
     u, _, vt = np.linalg.svd(rng.normal(size=(n2, rho)), full_matrices=False)
     return MixingMatrix((u * np.geomspace(1.0, 1.0 / xi, rho)) @ vt)
-
-
-def kkt_ball_projection(A, s, y, epsilon):
-    """Dense oracle for argmin ||u - s|| subject to ||y - A u|| <= epsilon."""
-    if np.linalg.norm(y - A @ s) <= epsilon:
-        return s.copy()
-    if epsilon == 0.0:  # affine set: minimal-norm correction
-        return s + A.T @ np.linalg.solve(A @ A.T, y - A @ s)
-    n = A.shape[1]
-    AtA = A.T @ A
-    Aty = A.T @ y
-
-    def u_of(lam):
-        return np.linalg.solve(np.eye(n) + lam * AtA, s + lam * Aty)
-
-    def gap(lam):
-        return np.linalg.norm(y - A @ u_of(lam)) - epsilon
-
-    hi = 1.0
-    while gap(hi) > 0 and hi < 1e14:
-        hi *= 10.0
-    lam = brentq(gap, 0.0, hi, xtol=1e-14, rtol=1e-15)
-    return u_of(lam)
 
 
 def test_criterion_01_decorrelation_identity():

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from csskit import io as fio
 from csskit.cli import main
+from csskit.experiments import METHODS, recover
+from csskit.model import MixingMatrix
+from csskit.operators import make_sampling_operator
+from csskit.solvers import SolverConfig
+from csskit.wavelets import Wavelet2D
 
 
 def write_json(path, payload):
@@ -27,6 +33,40 @@ def scene_dir(tmp_path_factory):
         "--out", str(root),
     ]) == 0
     return root
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_recover_every_method_matches_the_library(scene_dir, tmp_path, method):
+    # the cube baselines need cube-space (uniform) samples
+    meas = scene_dir / "measurements.f64"
+    if method in ("bpdn", "tvdn"):
+        meas = tmp_path / "uniform" / "measurements.f64"
+        assert main([
+            "sample", "--cube", str(scene_dir / "cube.f64"),
+            "--spectra", str(scene_dir / "spectra.csv"),
+            "--scheme", "uniform", "--rate", "0.5", "--seed", "1",
+            "--out", str(meas.parent),
+        ]) == 0
+    solver = {"max_iters": 5, "rel_tol": 0.0, "tv_max_iters": 5, "iht_k": 16}
+    out = tmp_path / "out"
+    assert main([
+        "recover", "--measurements", str(meas), "--method", method,
+        "--config", write_json(tmp_path / "solver.json", solver), "--out", str(out),
+    ]) == 0
+
+    mset = fio.read_measurements(str(meas))
+    desc = mset.descriptor
+    mixing = MixingMatrix(np.asarray(desc["mixing"]))
+    op = make_sampling_operator(desc["scheme"], desc["core"], desc["n1"], desc["n2"],
+                                seed=desc["operator_seed"], m_hat=desc["m_hat"],
+                                m=desc["m_dense"], mixing=mixing)
+    cube, result = recover(method, mset, op, mixing, Wavelet2D(8, 8), SolverConfig(**solver))
+    np.testing.assert_array_equal(fio.read_cube(str(out / "cube_hat.f64")).data, cube.data)
+    written = (out / "sources_hat.f64").exists()
+    assert written == (result.s_hat is not None) == (method not in ("bpdn", "tvdn"))
+    if written:
+        np.testing.assert_array_equal(fio.read_sources(str(out / "sources_hat.f64")),
+                                      result.s_hat)
 
 
 def test_full_pipeline_recovers_scene(tmp_path, capsys):

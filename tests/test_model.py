@@ -56,6 +56,9 @@ def test_source_matrix_rejects_bad_rows():
         SourceMatrix(np.array([[1.5, -0.5]]))
     with pytest.raises(ValueError):
         SourceMatrix(np.array([[0.5, 0.5]]), disjoint=True)
+    for bad in (np.array([[np.nan, 1.0]]), np.zeros((0, 2)), np.array([0.5, 0.5])):
+        with pytest.raises(ValueError):
+            SourceMatrix(bad)
     SourceMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), disjoint=True)
 
 
@@ -182,6 +185,13 @@ def test_validate_sources_reports():
     soft = validate_sources(np.array([[0.5, 0.5], [1.0, 0.0]]), disjoint=True)
     assert soft.bad_disjoint_rows == (0,)
     assert not soft.ok
+    nan = validate_sources(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+    assert not nan.ok
+    assert any("non-finite" in v for v in nan.violations)
+    # report-only: bad shapes are reported, not raised
+    for shape in [(0, 2), (2,), (0,)]:
+        assert not validate_sources(np.full(shape, 0.5)).ok
+
 
 
 def test_mixing_names_roundtrip():

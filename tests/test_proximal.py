@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import brentq
 
 from csskit.operators import NotTightFrame, make_core_operator
 from csskit.proximal import (
@@ -17,6 +16,7 @@ from csskit.proximal import (
     tv_norm,
     tv_prox,
 )
+from oracles import kkt_ball_projection
 
 
 class DenseOp:
@@ -32,34 +32,6 @@ class DenseOp:
 
     def adjoint(self, r):
         return self.A.T @ r
-
-
-def kkt_ball_projection(A, s, y, epsilon):
-    """Dense oracle: argmin ||u - s|| s.t. ||y - A u|| <= epsilon.
-
-    Feasible points are fixed; otherwise the constraint is active and the
-    KKT stationarity u = (I + lam A^T A)^{-1} (s + lam A^T y) holds for the
-    multiplier lam > 0 solving ||y - A u(lam)|| = epsilon.
-    """
-    if np.linalg.norm(y - A @ s) <= epsilon:
-        return s.copy()
-    if epsilon == 0.0:  # affine set: minimal-norm correction
-        return s + A.T @ np.linalg.solve(A @ A.T, y - A @ s)
-    n = A.shape[1]
-    AtA = A.T @ A
-    Aty = A.T @ y
-
-    def u_of(lam):
-        return np.linalg.solve(np.eye(n) + lam * AtA, s + lam * Aty)
-
-    def gap(lam):
-        return np.linalg.norm(y - A @ u_of(lam)) - epsilon
-
-    hi = 1.0
-    while gap(hi) > 0 and hi < 1e14:
-        hi *= 10.0
-    lam = brentq(gap, 0.0, hi, xtol=1e-14, rtol=1e-15)
-    return u_of(lam)
 
 
 def test_soft_threshold_examples():

@@ -536,6 +536,22 @@ def test_l1_ss_two_sparse_per_source_exact_recovery():
     assert res.converged
 
 
+def test_l1_ss_exact_ball_projection_on_a_decorrelating_non_tight_core():
+    # the synthesis map over a full-rank gaussian core gets the exact SVD
+    # projection through the orthonormal wavelets, not the capped iterative one
+    scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=1))
+    op = make_sampling_operator(
+        "decorrelating", "gaussian", 256, 8, seed=2, m_hat=128, mixing=scene.mixing
+    )
+    y = op.forward(scene.cube.data, space="data")
+    res = l1_ss_synthesis_solve(
+        y, op, scene.mixing, Wavelet2D(16, 16), 0.0,
+        SolverConfig(beta=0.5, max_iters=10, rel_tol=0.0),
+    )
+    assert res.flags == ()
+    assert res.residual <= 1e-9 * np.linalg.norm(y)
+
+
 # --- hardening and reconstruction ---------------------------------------------
 
 
