@@ -186,7 +186,11 @@ class SamplingOperator:
         self.n1 = int(n1)
         self.n2 = int(n2)
         self.mixing = mixing
-        self._dense_mat = core.as_matrix() if scheme == "dense" else None
+        self._dense_mat = None
+        if scheme == "dense":
+            # a gaussian or bernoulli core's own array, not a copy of it
+            self._dense_mat = (core.as_matrix() if core.kind == "random-convolution"
+                               else core._mat)
 
     @property
     def rho(self) -> int | None:
@@ -283,8 +287,12 @@ class SourceSpaceMap:
     decorrelating: block application of the core to each source column,
     ``I_rho (x) A`` (tight frame whenever the core is). uniform: ``H (x) A``,
     evaluated as ``(A S) H^T`` with adjoint ``A^T (Y H)``, so the core acts on
-    ``rho`` columns rather than ``n2``. dense: the cube-space map composed
-    with the mixing, ``S -> op(S @ H.T)``.
+    ``rho`` columns rather than ``n2``. dense: ``S -> A vec(S H^T) =
+    A (H (x) I_n1) vec(S)``, with the mixing folded into the matrix once per
+    map: ``A_fold = A (H (x) I_n1)`` is ``m x n1*rho`` where ``A`` is
+    ``m x n1*n2``, so each forward or adjoint does ``rho/n2`` of the cube
+    map's work. ``A_fold`` is built from the ``(m, n2, n1)`` view of ``A``
+    by one batched product with ``H^T``, without copying ``A``.
     """
 
     def __init__(self, op: SamplingOperator, mixing: MixingMatrix | None = None):
@@ -295,6 +303,11 @@ class SourceSpaceMap:
         self.mixing = mixing
         self.shape_in = (op.n1, mixing.rho)
         self.m = op.m
+        self._folded = None
+        if op.scheme == "dense":
+            # A_fold[:, i + n1*r] = sum_j A[:, i + n1*j] H[j, r]
+            A = op._dense_mat.reshape(op.m, op.n2, op.n1)
+            self._folded = np.matmul(mixing.data.T, A).reshape(op.m, -1)
 
     @property
     def nu(self) -> float | None:
@@ -308,14 +321,16 @@ class SourceSpaceMap:
             return self.op.core.forward(S).ravel(order="F")
         if self.op.scheme == "uniform":
             return (self.op.core.forward(S) @ self.mixing.data.T).ravel(order="F")
-        return self.op.forward(S @ self.mixing.data.T)
+        if S.shape != self.shape_in:
+            raise ValueError(f"expected an {self.shape_in} source matrix")
+        return self._folded @ S.ravel(order="F")
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if self.op.scheme == "decorrelating":
             return self.op.adjoint(y, space="sources")
         if self.op.scheme == "uniform":
             return self.op.core.adjoint(self.op.y_as_matrix(y) @ self.mixing.data)
-        return self.op.adjoint(y) @ self.mixing.data
+        return (self._folded.T @ y).reshape(self.shape_in, order="F")
 
 
 @dataclass(frozen=True)

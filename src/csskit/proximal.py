@@ -93,7 +93,7 @@ def tv_norm(image):
     return float(_tv(np.asarray(image, dtype=np.float64)))
 
 
-def tv_prox(image, lam, max_iters=100, tol=1e-5):
+def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     """Prox of lam*TV at ``image`` via Chambolle's dual projection.
 
     ``image`` is one 2-D image or a ``(k, rows, cols)`` stack; each image of
@@ -105,19 +105,33 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5):
     image never exceeds its value at the input (guarded explicitly). Every
     step is elementwise or a per-image sum, so a stack gives exactly the
     results of separate 2-D calls.
+
+    ``dual``, when given, is a float64 array of shape ``(2, k, rows, cols)``
+    (``(2, rows, cols)`` for one image), read as the starting dual field
+    ``(px, py)`` and overwritten with the final one: a warm start for the
+    next call on a nearby image. Started inside the pointwise unit ball, the
+    iteration keeps it there. An image whose result the ROF guard replaces
+    gets its dual reset to zero. ``dual=None`` starts from zero. ``flags``,
+    when given, is a set that receives ``"tv-prox-capped"`` if an image was
+    still iterating after ``max_iters`` iterations.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError("expected a 2-D image or a (k, rows, cols) stack")
+    if dual is not None and (dual.shape != (2,) + image.shape or dual.dtype != np.float64):
+        raise ValueError(f"dual must be a float64 array of shape {(2,) + image.shape}")
     if lam == 0 or image.shape[-2] * image.shape[-1] < 2:
         return image.copy()
     stack = image.reshape((-1,) + image.shape[-2:])
     scaled = stack / lam
     # dual fields (px, py) of the images still iterating, and of the whole
     # stack: a stopped image's entries in p_all are final
-    p = np.zeros((2,) + scaled.shape)
+    if dual is None:
+        p = np.zeros((2,) + scaled.shape)
+    else:
+        p = dual.reshape((2,) + scaled.shape).copy()
     p_all = np.zeros_like(p)
     active = np.arange(stack.shape[0])
     q, g, w = np.empty_like(p), np.empty_like(p), np.empty_like(p)
@@ -151,10 +165,15 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5):
             q, g, w = np.empty_like(p), np.empty_like(p), np.empty_like(p)
     else:
         p_all[:, active] = p
+        if flags is not None and active.size:
+            flags.add("tv-prox-capped")
     u = stack - lam * _div(p_all[0], p_all[1])
     rof = lam * _tv(u) + 0.5 * np.sum((u - stack) ** 2, axis=(-2, -1))
     worse = rof > lam * _tv(stack)
     u[worse] = stack[worse]
+    if dual is not None:
+        p_all[:, worse] = 0.0
+        dual[...] = p_all.reshape(dual.shape)
     return u.reshape(image.shape)
 
 

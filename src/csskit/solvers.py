@@ -122,8 +122,9 @@ class SolveResult:
     point sits on the measurement ball (within 1e-6*||y|| slack); a stalled
     infeasible run reports False. ``trace`` holds one
     ``(residual, relative_change)`` pair per iteration. ``flags`` names
-    what went wrong along the way, e.g. ``"ball-projection-capped"`` when
-    an iterative ball projection stopped at its iteration cap.
+    what went wrong along the way: ``"ball-projection-capped"`` when an
+    iterative ball projection stopped at its iteration cap,
+    ``"tv-prox-capped"`` when a TV prox did.
     """
 
     s_hat: np.ndarray | None
@@ -238,28 +239,38 @@ def _run_engine(proxes, shape, config, residual_fn):
     return s, trace, converged, diverged
 
 
-def _tv_columns_prox(rows, cols, config):
+def _tv_columns_prox(rows, cols, k, config, flags):
     """Prox of w*TV on each column of an ``(n1, k)`` matrix, every column
-    read as a ``rows x cols`` image; one ``tv_prox`` call over the stack."""
+    read as a ``rows x cols`` image; one ``tv_prox`` call over the stack.
+
+    The Chambolle dual is carried from call to call: the splitting calls
+    this prox with one weight at slowly moving points, so the last dual is
+    a warm start. A call that stops at ``config.tv_max_iters`` with an image
+    still iterating adds ``"tv-prox-capped"`` to the ``flags`` set.
+    """
+    dual = np.zeros((2, k, rows, cols))
+
     def prox(X, w):
-        k = X.shape[1]
-        out = tv_prox(X.T.reshape(k, rows, cols), w, config.tv_max_iters, config.tv_tol)
+        out = tv_prox(X.T.reshape(k, rows, cols), w, config.tv_max_iters, config.tv_tol,
+                      dual=dual, flags=flags)
         # C order like X, so norms of the iterates sum in an unchanged order
         return np.ascontiguousarray(out.reshape(k, rows * cols).T)
 
     return prox
 
 
-def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False):
+def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False, flags=None):
     """Minimize the prior over the measurement ball of L (and, with
     ``simplex``, the row simplex) by the proximal engine.
 
     The final average is certified by one ball projection followed by one
-    simplex projection. Returns ``(estimate, result)``; the caller attaches
-    the estimate to the result in its own terms.
+    simplex projection. ``flags`` is the set the prior's prox reports into,
+    if it reports at all; the result's flags also name the ball's. Returns
+    ``(estimate, result)``; the caller attaches the estimate to the result
+    in its own terms.
     """
     y = np.asarray(y, dtype=np.float64)
-    flags: set[str] = set()
+    flags = set() if flags is None else flags
     ball_prox, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
     proxes = [prior_prox, ball_prox]
     if simplex:
@@ -312,8 +323,9 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
     """
     config = config if config is not None else SolverConfig()
     wav = problem.wavelet
+    flags: set[str] = set()
     if problem.prior == "tv":
-        prior_prox = _tv_columns_prox(wav.rows, wav.cols, config)
+        prior_prox = _tv_columns_prox(wav.rows, wav.cols, problem.rho, config, flags)
     else:
         def prior_prox(S, w):
             return wav.inverse_cols(soft_threshold(wav.forward_cols(S), w))
@@ -321,7 +333,8 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
     s_hat, result = _splitting_solve(
         SourceSpaceMap(problem.operator, problem.effective_mixing),
         problem.measurements.y, problem.measurements.epsilon, config,
-        (problem.operator.n1, problem.rho), prior_prox, simplex=problem.constraints)
+        (problem.operator.n1, problem.rho), prior_prox, simplex=problem.constraints,
+        flags=flags)
     return dataclasses.replace(result, s_hat=s_hat)
 
 
@@ -458,8 +471,10 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
     if rows * cols != operator.n1:
         raise ValueError("spatial shape does not factor the pixel count")
     config = config if config is not None else SolverConfig()
+    flags: set[str] = set()
     x, result = _splitting_solve(operator, y, epsilon, config, (operator.n1, operator.n2),
-                                 _tv_columns_prox(rows, cols, config))
+                                 _tv_columns_prox(rows, cols, operator.n2, config, flags),
+                                 flags=flags)
     return HsiCube(rows, cols, operator.n2, x), result
 
 

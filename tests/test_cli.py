@@ -67,6 +67,10 @@ def test_recover_every_method_matches_the_library(scene_dir, tmp_path, method):
     if written:
         np.testing.assert_array_equal(fio.read_sources(str(out / "sources_hat.f64")),
                                       result.s_hat)
+    # five inner TV iterations stop short: result.json carries the flag
+    flags = json.loads((out / "result.json").read_text())["flags"]
+    assert flags == list(result.flags)
+    assert ("tv-prox-capped" in flags) == (method in ("ppxa-tv", "tvdn"))
 
 
 def test_full_pipeline_recovers_scene(tmp_path, capsys):

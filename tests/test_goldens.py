@@ -7,9 +7,10 @@ label accuracy and the reconstruction SNR against values stored in
 leave them unchanged, to 1e-12 relative.
 
 Regenerate only for a change that is meant to move the numbers, and say so
-where the change is recorded:
+where the change is recorded. Name the cases that are meant to move; the
+others are written back as they were read (all cases when none is named):
 
-    PYTHONPATH=src python tests/test_goldens.py
+    PYTHONPATH=src python tests/test_goldens.py [case id ...]
 """
 
 from __future__ import annotations
@@ -143,6 +144,15 @@ def test_golden(goldens, case):
 
 
 if __name__ == "__main__":
-    values = {name: compute(*args) for name, *args in CASES}
+    import sys
+
+    names = sys.argv[1:] or [c[0] for c in CASES]
+    unknown = set(names) - {c[0] for c in CASES}
+    if unknown:
+        sys.exit(f"unknown case ids: {sorted(unknown)}")
+    values = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else {}
+    for name, *args in CASES:
+        if name in names:
+            values[name] = compute(*args)
     GOLDENS.write_text(json.dumps(values) + "\n")
-    print(f"wrote {len(values)} cases to {GOLDENS}")
+    print(f"recomputed {len(names)} of {len(values)} cases in {GOLDENS}")

@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csskit.io import (
     read_cube,
@@ -19,6 +24,9 @@ from csskit.io import (
 from csskit.model import HsiCube, MixingMatrix
 from csskit.operators import MeasurementSet
 from csskit.scenes import SceneSpec, generate_scene
+
+# every finite float64, signed zeros and subnormals included
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 @pytest.fixture()
@@ -138,6 +146,34 @@ def test_measurements_truncated_raises(tmp_path):
     (tmp_path / "meas.f64").write_bytes((tmp_path / "meas.f64").read_bytes()[:16])
     with pytest.raises(ValueError):
         read_measurements(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)), data=st.data())
+def test_raw_f64_round_trips_on_random_shapes(shape, data):
+    rows, cols, channels = shape
+    cube = HsiCube(rows, cols, channels,
+                   data.draw(arrays(np.float64, (rows * cols, channels), elements=FINITE)))
+    sources = data.draw(arrays(np.float64, (rows * cols, channels), elements=FINITE))
+    y = data.draw(arrays(np.float64, rows * cols * channels, elements=FINITE))
+    epsilon = data.draw(st.floats(0.0, 1e6))
+    snr_db = np.inf if epsilon == 0.0 else data.draw(st.floats(1.0, 100.0))
+    mixing = data.draw(arrays(np.float64, (channels, cols), elements=FINITE))
+    mset = MeasurementSet(y, epsilon, snr_db, {"mixing": mixing, "m_hat": rows})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.f64")
+        write_cube(cube, path)
+        again = read_cube(path)
+        assert (again.rows, again.cols, again.channels) == shape
+        assert again.data.tobytes() == cube.data.tobytes()
+        write_sources(sources, path)
+        assert read_sources(path).tobytes() == sources.tobytes()
+        write_measurements(mset, path)
+        got = read_measurements(path)
+        assert got.y.tobytes() == mset.y.tobytes()
+        assert (got.epsilon, got.snr_db) == (epsilon, snr_db)
+        assert np.asarray(got.descriptor["mixing"]).tobytes() == mixing.tobytes()
+        assert got.descriptor["m_hat"] == rows
 
 
 def test_results_csv_formatting(tmp_path):

@@ -269,6 +269,32 @@ def test_uniform_source_map_matches_the_cube_path(case):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=source_maps(schemes=("dense",)))
+def test_dense_source_map_folds_the_mixing_into_the_matrix(case):
+    L, _, _, seed = case
+    rng = np.random.default_rng(seed + 3)
+    S = rng.normal(size=L.shape_in)
+    want = L.op.forward(S @ L.mixing.data.T)
+    assert np.linalg.norm(L.forward(S) - want) <= 1e-12 * np.linalg.norm(want)
+    y = rng.normal(size=L.m)
+    want = L.op.adjoint(y) @ L.mixing.data
+    assert np.linalg.norm(L.adjoint(y) - want) <= 1e-12 * np.linalg.norm(want)
+    if S.shape[0] != S.shape[1]:
+        # same size, wrong layout: the cube path rejected it, and so must the fold
+        with pytest.raises(ValueError):
+            L.forward(S.T)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_dense_operator_shares_its_core_matrix(kind):
+    op = make_sampling_operator("dense", kind, 16, 4, seed=8, m=20)
+    assert np.shares_memory(op._dense_mat, op.core._mat)
+    H = random_mixing(np.random.default_rng(9), 4, 2)
+    # the folded source map is the one new matrix, m x n1*rho
+    assert SourceSpaceMap(op, H)._folded.shape == (20, 32)
+
+
 # --- decorrelation post-processing ------------------------------------------
 
 

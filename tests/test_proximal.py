@@ -65,6 +65,26 @@ def test_hard_threshold_examples():
         hard_threshold_topk(v, 4)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    v=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+             elements=st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])),
+    data=st.data(),
+)
+def test_hard_threshold_breaks_ties_toward_the_lowest_flat_index(v, data):
+    # few distinct magnitudes, so most draws tie at the cut; no zeros, so
+    # the kept entries are exactly the nonzero ones
+    k = data.draw(st.integers(0, v.size))
+    out = hard_threshold_topk(v, k)
+    flat, kept = v.ravel(), out.ravel() != 0.0
+    assert out.shape == v.shape and kept.sum() == k
+    np.testing.assert_array_equal(out.ravel()[kept], flat[kept])
+    mags = np.abs(flat)
+    for i in np.flatnonzero(kept):
+        for j in np.flatnonzero(~kept):
+            assert mags[i] > mags[j] or (mags[i] == mags[j] and i < j)
+
+
 def test_tv_norm_oracle():
     img = np.array([[0.0, 1.0], [2.0, 3.0]])
     # per-pixel forward differences: sqrt(5) + 2 + 1 + 0
@@ -201,6 +221,82 @@ def test_two_scale_example_stops_at_different_iterations():
     assert stops[0] != stops[1] and max(stops) < 100
 
 
+def unit_ball_dual(rng, shape):
+    """A random dual field inside the pointwise unit ball, some of it on
+    the boundary."""
+    p = rng.normal(size=shape)
+    return p / np.maximum(np.hypot(p[0], p[1]), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=image_stacks(),
+    lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    max_iters=st.integers(0, 60),
+    tol=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(stack=TWO_SCALES, lam=0.5, max_iters=100, tol=1e-3, seed=0)
+def test_tv_prox_warm_stack_equals_separate_calls(stack, lam, max_iters, tol, seed):
+    dual = unit_ball_dual(np.random.default_rng(seed), (2,) + stack.shape)
+    duals = [dual[:, i].copy() for i in range(stack.shape[0])]
+    got = tv_prox(stack, lam, max_iters, tol, dual=dual)
+    for i, image in enumerate(stack):
+        single = tv_prox(image, lam, max_iters, tol, dual=duals[i])
+        assert got[i].tobytes() == single.tobytes()
+        assert dual[:, i].tobytes() == duals[i].tobytes()
+    # Chambolle's step maps the pointwise unit ball into itself
+    assert np.hypot(dual[0], dual[1]).max(initial=0.0) <= 1.0 + 1e-12
+
+
+def test_tv_prox_warm_start_from_a_converged_dual_reproduces_the_cold_prox():
+    rng = np.random.default_rng(13)
+    stack = rng.normal(size=(3, 12, 10)) * np.array([0.1, 1.0, 10.0])[:, None, None]
+    lam = 0.4
+    dual = np.zeros((2,) + stack.shape)
+    cold = tv_prox(stack, lam, max_iters=5000, tol=1e-10, dual=dual)
+    np.testing.assert_array_equal(cold, tv_prox(stack, lam, max_iters=5000, tol=1e-10))
+    tol = 1e-6
+    warm = tv_prox(stack, lam, max_iters=5000, tol=tol, dual=dual)
+    for w, c in zip(warm, cold):
+        assert np.linalg.norm(w - c) <= tol * np.linalg.norm(c)
+
+
+def test_tv_prox_resets_the_dual_of_a_guarded_image():
+    # no iterations: the output is image - lam*div(dual); for a constant
+    # image any nonzero divergence raises the ROF objective, so the guard
+    # returns the image and drops its dual, while a converged dual of a
+    # non-constant image is kept
+    rng = np.random.default_rng(14)
+    image = rng.normal(size=(8, 8))
+    converged = np.zeros((2, 8, 8))
+    tv_prox(image, 0.3, max_iters=5000, tol=1e-12, dual=converged)
+    stack = np.stack([np.zeros((8, 8)), image])
+    dual = np.stack([unit_ball_dual(rng, (2, 8, 8)), converged], axis=1)
+    kept = dual[:, 1].copy()
+    out = tv_prox(stack, 0.3, max_iters=0, dual=dual)
+    np.testing.assert_array_equal(out[0], stack[0])
+    np.testing.assert_array_equal(dual[:, 0], 0.0)
+    np.testing.assert_array_equal(dual[:, 1], kept)
+
+
+def test_tv_prox_rejects_a_misshapen_dual():
+    with pytest.raises(ValueError):
+        tv_prox(np.ones((2, 4, 4)), 0.5, dual=np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError):
+        tv_prox(np.ones((4, 4)), 0.5, dual=np.zeros((2, 4, 4), dtype=np.float32))
+
+
+def test_tv_prox_reports_a_capped_loop():
+    image = np.random.default_rng(15).normal(size=(2, 8, 8))
+    flags = set()
+    tv_prox(image, 0.3, max_iters=1, flags=flags)
+    assert flags == {"tv-prox-capped"}
+    flags = set()
+    tv_prox(image, 0.3, max_iters=5000, tol=1e-3, flags=flags)
+    assert flags == set()
+
+
 @settings(max_examples=30, deadline=None)
 @given(shape=st.one_of(
     st.just(()),
@@ -257,6 +353,22 @@ def test_simplex_rows_idempotent_and_feasible():
     np.testing.assert_allclose(simplex_project_rows(P), P, atol=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    S=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+             elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simplex_rows_variational_inequality(S, seed):
+    # <S_i - P_i, X_i - P_i> <= 0 for every point X_i of the simplex
+    P = simplex_project_rows(S)
+    X = np.random.default_rng(seed).dirichlet(np.ones(S.shape[1]), size=(8, S.shape[0]))
+    X[0] = np.eye(S.shape[1])[np.arange(S.shape[0]) % S.shape[1]]  # vertices
+    inner = np.sum((S - P) * (X - P), axis=-1)
+    scale = np.sum(np.abs(S - P), axis=-1) + 1.0
+    assert np.all(inner <= 1e-12 * scale)
+
+
 def test_tightframe_ball_feasible_input_unchanged():
     core = make_core_operator("random-convolution", 4, 8, seed=0)
     rng = np.random.default_rng(5)
@@ -302,6 +414,36 @@ def test_tightframe_ball_requires_nu():
     A = np.random.default_rng(8).normal(size=(4, 8))
     with pytest.raises(NotTightFrame):
         l2ball_project_tightframe(np.zeros(8), np.ones(4), DenseOp(A), 0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_n1=st.integers(1, 5),
+    m_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    regime=st.sampled_from(["zero", "infeasible"]),
+    frac=st.floats(0.05, 0.95),
+)
+def test_tightframe_ball_variational_inequality(log_n1, m_frac, seed, regime, frac):
+    n1 = 2**log_n1
+    m_hat = 1 + int(m_frac * (n1 - 1))
+    core = make_core_operator("random-convolution", m_hat, n1, seed=seed)
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=n1)
+    y = 2.0 * rng.normal(size=m_hat)
+    r0 = float(np.linalg.norm(y - core.forward(s)))
+    epsilon = 0.0 if regime == "zero" else r0 * frac
+    P = l2ball_project_tightframe(s, y, core, epsilon)
+    assert np.linalg.norm(y - core.forward(P)) <= epsilon + 1e-9 * (np.linalg.norm(y) + 1.0)
+    # feasible points: A^T (y - e) / nu with ||e|| <= epsilon, plus any
+    # null-space part (A A^T = nu I)
+    for _ in range(5):
+        e = rng.normal(size=m_hat)
+        e *= epsilon * rng.uniform() / max(np.linalg.norm(e), 1e-300)
+        z = rng.normal(size=n1)
+        x = (core.adjoint(y - e) - core.adjoint(core.forward(z))) / core.nu + z
+        scale = max(s @ s, P @ P, x @ x)
+        assert (s - P) @ (x - P) <= 1e-9 * scale
 
 
 def test_fb_ball_feasible_input_unchanged():

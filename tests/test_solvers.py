@@ -206,6 +206,25 @@ def test_ppxa_flags_capped_ball_projection(det_scene):
         assert ("ball-projection-capped" in res.flags) is capped
 
 
+@pytest.mark.parametrize("method", ["ppxa-tv", "tvdn"])
+def test_tv_solves_flag_a_capped_tv_prox(det_scene, method):
+    scene = det_scene
+    scheme = "decorrelating" if method == "ppxa-tv" else "uniform"
+    op = make_sampling_operator(scheme, RC, 64, 4, seed=17, m_hat=32, mixing=scene.mixing)
+    y = op.forward(scene.cube.data, space="data")
+    # one inner iteration never passes the stopping test from a zero dual;
+    # a loose tol stops every inner loop well before 5000 iterations
+    for tv_max_iters, tv_tol, capped in ((1, 1e-5, True), (5000, 1e-3, False)):
+        config = SolverConfig(beta=0.1, max_iters=10, rel_tol=0.0,
+                              tv_max_iters=tv_max_iters, tv_tol=tv_tol)
+        if method == "tvdn":
+            _, res = tvdn_solve(y, op, 0.0, config, rows=8, cols=8)
+        else:
+            res = ppxa_solve(RecoveryProblem(noiseless(y), op, Wavelet2D(8, 8), 2,
+                                             mixing=scene.mixing), config)
+        assert ("tv-prox-capped" in res.flags) is capped
+
+
 def test_scheme_equivalence_postprocessed_uniform_vs_decorrelating(desk_scene):
     scene = desk_scene
     uni = make_sampling_operator("uniform", RC, 256, 6, seed=15, m_hat=64)
