@@ -44,12 +44,11 @@ def hard_threshold_topk(v, k):
     return out
 
 
-def _grad(u, gx=None, gy=None):
+def _grad(u):
     """Forward differences over the last two axes, zero past the last
-    row/column; written into ``gx``/``gy`` when those buffers are given."""
-    if gx is None:
-        gx = np.empty_like(u)
-        gy = np.empty_like(u)
+    row/column."""
+    gx = np.empty_like(u)
+    gy = np.empty_like(u)
     np.subtract(u[..., 1:, :], u[..., :-1, :], out=gx[..., :-1, :])
     gx[..., -1, :] = 0.0
     np.subtract(u[..., 1:], u[..., :-1], out=gy[..., :-1])
@@ -57,14 +56,11 @@ def _grad(u, gx=None, gy=None):
     return gx, gy
 
 
-def _div(px, py, out=None, tmp=None):
+def _div(px, py):
     """Negative adjoint of ``_grad`` over the last two axes; the last row of
-    ``px`` and the last column of ``py`` are ignored. Written into ``out``,
-    with ``tmp`` as scratch, when those buffers are given."""
-    if out is None:
-        out = np.empty_like(px)
-        tmp = np.empty_like(py)
-    dx, dy = out, tmp
+    ``px`` and the last column of ``py`` are ignored."""
+    dx = np.empty_like(px)
+    dy = np.empty_like(py)
     if px.shape[-2] > 1:
         dx[..., 0, :] = px[..., 0, :]
         np.subtract(px[..., 1:-1, :], px[..., :-2, :], out=dx[..., 1:-1, :])
@@ -79,7 +75,7 @@ def _div(px, py, out=None, tmp=None):
         dy[..., -1] = -py[..., -2]
     else:
         dy[...] = 0.0
-    return np.add(dx, dy, out=out)
+    return np.add(dx, dy, out=dx)
 
 
 def _tv(u):
@@ -109,64 +105,102 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     ``dual``, when given, is a float64 array of shape ``(2, k, rows, cols)``
     (``(2, rows, cols)`` for one image), read as the starting dual field
     ``(px, py)`` and overwritten with the final one: a warm start for the
-    next call on a nearby image. Started inside the pointwise unit ball, the
-    iteration keeps it there. An image whose result the ROF guard replaces
-    gets its dual reset to zero. ``dual=None`` starts from zero. ``flags``,
-    when given, is a set that receives ``"tv-prox-capped"`` if an image was
-    still iterating after ``max_iters`` iterations.
+    next call on a nearby image. The entries that ``div`` ignores, the last
+    row of ``px`` and the last column of ``py``, are set to zero on entry
+    and returned as zero. Started inside the pointwise unit ball, the
+    iteration keeps the dual there. An image whose result the ROF guard
+    replaces gets its dual reset to zero. ``dual=None`` starts from zero.
+    ``flags``, when given, is a set that receives ``"tv-prox-capped"`` if an
+    image was still iterating after ``max_iters`` iterations.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError("expected a 2-D image or a (k, rows, cols) stack")
-    if dual is not None and (dual.shape != (2,) + image.shape or dual.dtype != np.float64):
-        raise ValueError(f"dual must be a float64 array of shape {(2,) + image.shape}")
+    if dual is not None:
+        if dual.shape != (2,) + image.shape or dual.dtype != np.float64:
+            raise ValueError(f"dual must be a float64 array of shape {(2,) + image.shape}")
+        dual[0, ..., -1, :] = 0.0
+        dual[1, ..., -1] = 0.0
     if lam == 0 or image.shape[-2] * image.shape[-1] < 2:
         return image.copy()
     stack = image.reshape((-1,) + image.shape[-2:])
-    scaled = stack / lam
-    # dual fields (px, py) of the images still iterating, and of the whole
-    # stack: a stopped image's entries in p_all are final
+    k, rows, cols = stack.shape
+    size = rows * cols
+    scaled_all = stack.reshape(k, size) / lam
+    # dual field (px, py) of every image: final for each image that stopped
     if dual is None:
-        p = np.zeros((2,) + scaled.shape)
+        p_all = np.zeros((2, k, rows, cols))
     else:
-        p = dual.reshape((2,) + scaled.shape).copy()
-    p_all = np.zeros_like(p)
-    active = np.arange(stack.shape[0])
-    q, g, w = np.empty_like(p), np.empty_like(p), np.empty_like(p)
-    for _ in range(int(max_iters)):
-        d, tmp = w
-        _div(p[0], p[1], d, tmp)
-        d -= scaled
-        _grad(d, g[0], g[1])
-        sq = np.square(g, out=q)
-        denom = np.sqrt(np.add(sq[0], sq[1], out=d), out=d)
-        denom *= TV_DUAL_STEP
-        denom += 1.0
-        np.multiply(g, TV_DUAL_STEP, out=q)
-        q += p
-        q /= denom
-        # per-pixel squared dual change in w[0] and squared dual norm in w[1]
-        sq = np.square(np.subtract(q, p, out=g), out=g)
-        np.add(sq[0], sq[1], out=w[0])
-        sq = np.square(p, out=g)
-        np.add(sq[0], sq[1], out=w[1])
-        change, base = np.sqrt(np.sum(w, axis=(-2, -1)))
-        p, q = q, p
-        stop = change / np.maximum(base, 1e-12) < tol
-        if stop.any():
-            p_all[:, active[stop]] = p[:, stop]
-            keep = ~stop
-            active = active[keep]
-            if active.size == 0:
+        p_all = dual.reshape(2, k, rows, cols).copy()
+    # 0 on the last row (x) and the last column (y), where the gradient is 0
+    mask = np.ones((2, k, rows, cols))
+    mask[0, :, -1, :] = 0.0
+    mask[1, :, :, -1] = 0.0
+    mask = mask.reshape(2, k * size)
+    active = np.arange(k)
+    left = int(max_iters)
+    # one pass of the outer loop per set of active images: the buffers and
+    # their views are built here, and the inner loop allocates nothing
+    while active.size and left > 0:
+        m = active.size
+        n = m * size
+        # each dual component is one flat vector over the active images, led
+        # by ``cols`` zeros; its ignored entries stay zero, so div p is
+        # (px - px shifted by cols) + (py - py shifted by 1)
+        bufs = np.zeros((2, 2, cols + n))
+        bufs[0, :, cols:] = p_all[:, active].reshape(2, n)
+        cur, nxt = [(b[:, cols:], b[0, cols:], b[0, :n], b[1, cols:], b[1, cols - 1:-1])
+                    for b in bufs]
+        # div p - image/lam, trailed by ``cols`` zeros for the gradient's shifts
+        d = np.zeros(n + cols)
+        dd, d_down, d_right = d[:n], d[cols:], d[1:n + 1]
+        scaled = scaled_all[active].reshape(n)
+        gmask = mask[:, :n]
+        t = np.empty(n)
+        g = np.empty((2, n))
+        w = np.empty((2, n))
+        g0, g1 = g
+        w0, w1 = w
+        sums = w.reshape(2, m, size)
+        norms = np.empty((2, m))
+        for _ in range(left):
+            left -= 1
+            p, px, px_up, py, py_left = cur
+            q = nxt[0]
+            np.subtract(px, px_up, out=dd)
+            np.subtract(py, py_left, out=t)
+            dd += t
+            dd -= scaled
+            np.subtract(d_down, dd, out=g0)
+            np.subtract(d_right, dd, out=g1)
+            g *= gmask
+            np.square(g, out=w)
+            denom = np.sqrt(np.add(w0, w1, out=t), out=t)
+            denom *= TV_DUAL_STEP
+            denom += 1.0
+            np.multiply(g, TV_DUAL_STEP, out=q)
+            q += p
+            q /= denom
+            # per-pixel squared dual change in w0 and squared dual norm in w1
+            np.square(np.subtract(q, p, out=g), out=g)
+            np.add(g0, g1, out=w0)
+            np.square(p, out=g)
+            np.add(g0, g1, out=w1)
+            np.add.reduce(sums, axis=2, out=norms)
+            change, base = np.sqrt(norms, out=norms).tolist()
+            cur, nxt = nxt, cur
+            # the same IEEE operations as on arrays, one image at a time
+            stop = [c / max(b, 1e-12) < tol for c, b in zip(change, base)]
+            if any(stop):
                 break
-            p, scaled = p[:, keep], scaled[keep]
-            q, g, w = np.empty_like(p), np.empty_like(p), np.empty_like(p)
-    else:
-        p_all[:, active] = p
-        if flags is not None and active.size:
-            flags.add("tv-prox-capped")
+        p_all[:, active] = cur[0].reshape(2, m, rows, cols)
+        active = active[np.logical_not(stop)]
+    if flags is not None and active.size:
+        flags.add("tv-prox-capped")
+    # _div, not the flat shifts: its boundary terms (-px[-2] where the loop
+    # has 0 - px[-2]) decide the sign of a zero in u
     u = stack - lam * _div(p_all[0], p_all[1])
     rof = lam * _tv(u) + 0.5 * np.sum((u - stack) ** 2, axis=(-2, -1))
     worse = rof > lam * _tv(stack)

@@ -3,6 +3,8 @@
 import numpy as np
 from scipy.optimize import brentq
 
+from csskit.proximal import TV_DUAL_STEP
+
 
 def kkt_ball_projection(A, s, y, epsilon):
     """Dense oracle: argmin ||u - s|| s.t. ||y - A u|| <= epsilon.
@@ -38,3 +40,65 @@ def kkt_ball_projection(A, s, y, epsilon):
         hi *= 10.0
     lam = brentq(gap, 0.0, hi, xtol=1e-14, rtol=1e-15)
     return u_of(lam)
+
+
+def reference_tv_prox(image, lam, max_iters, tol, dual=None):
+    """The one-image Chambolle loop, allocating afresh in every iteration.
+
+    ``dual``, when given, is the starting field ``(px, py)`` of shape
+    ``(2, rows, cols)``; the last row of ``px`` and the last column of
+    ``py``, which the divergence ignores, are zeroed first. Returns the
+    prox, the number of iterations run (so tests can tell when two images
+    of a stack stop at different iterations) and the final dual, reset to
+    zero when the ROF guard returns the image itself.
+    """
+    def grad(u):
+        gx = np.zeros_like(u)
+        gy = np.zeros_like(u)
+        gx[:-1, :] = u[1:, :] - u[:-1, :]
+        gy[:, :-1] = u[:, 1:] - u[:, :-1]
+        return gx, gy
+
+    def div(px, py):
+        dx = np.zeros_like(px)
+        if px.shape[0] > 1:
+            dx[0, :] = px[0, :]
+            dx[1:-1, :] = px[1:-1, :] - px[:-2, :]
+            dx[-1, :] = -px[-2, :]
+        dy = np.zeros_like(py)
+        if py.shape[1] > 1:
+            dy[:, 0] = py[:, 0]
+            dy[:, 1:-1] = py[:, 1:-1] - py[:, :-2]
+            dy[:, -1] = -py[:, -2]
+        return dx + dy
+
+    def tv(u):
+        gx, gy = grad(u)
+        return float(np.sum(np.sqrt(gx**2 + gy**2)))
+
+    if dual is None:
+        px = np.zeros_like(image)
+        py = np.zeros_like(image)
+    else:
+        px = dual[0].copy()
+        py = dual[1].copy()
+        px[-1, :] = 0.0
+        py[:, -1] = 0.0
+    if lam == 0 or image.size < 2:
+        return image.copy(), 0, np.stack([px, py])
+    scaled = image / lam
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        gx, gy = grad(div(px, py) - scaled)
+        denom = 1.0 + TV_DUAL_STEP * np.sqrt(gx**2 + gy**2)
+        px_new = (px + TV_DUAL_STEP * gx) / denom
+        py_new = (py + TV_DUAL_STEP * gy) / denom
+        change = np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2))
+        base = max(np.sqrt(np.sum(px**2 + py**2)), 1e-12)
+        px, py = px_new, py_new
+        if change / base < tol:
+            break
+    u = image - lam * div(px, py)
+    if lam * tv(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv(image):
+        return image.copy(), iters, np.zeros((2,) + image.shape)
+    return u, iters, np.stack([px, py])

@@ -11,6 +11,12 @@ where the change is recorded. Name the cases that are meant to move; the
 others are written back as they were read (all cases when none is named):
 
     PYTHONPATH=src python tests/test_goldens.py [case id ...]
+
+To check a change without writing anything, ``--compare`` recomputes every
+case and prints, for each, "exact" or its largest relative deviation from
+the stored values:
+
+    PYTHONPATH=src python tests/test_goldens.py --compare
 """
 
 from __future__ import annotations
@@ -123,6 +129,30 @@ def _close(actual, expected):
     assert float(np.max(np.abs(a - b), initial=0.0)) <= RTOL * scale
 
 
+def deviation(got, want):
+    """"exact" when ``got`` holds the stored values ``want`` exactly, else
+    the largest relative deviation of its arrays and SNR, or the name of a
+    discrete value that differs."""
+    got = json.loads(json.dumps(got))
+    if got == want:
+        return "exact"
+    for key in ("shape", "iterations", "accuracy"):
+        if got[key] != want[key]:
+            return f"{key} differs: {got[key]} != {want[key]}"
+    if (got["s_hat"] is None) != (want["s_hat"] is None):
+        return "s_hat differs: present on one side only"
+    worst = 0.0
+    for key in ("estimate", "s_hat", "snr_db"):
+        if want[key] is not None:
+            a = np.asarray(got[key], dtype=np.float64)
+            b = np.asarray(want[key], dtype=np.float64)
+            diff = float(np.max(np.abs(a - b), initial=0.0))
+            scale = float(np.max(np.abs(b), initial=0.0))
+            if diff:
+                worst = max(worst, diff / scale if scale else math.inf)
+    return f"largest relative deviation {worst:.3e}"
+
+
 @pytest.fixture(scope="module")
 def goldens():
     return json.loads(GOLDENS.read_text())
@@ -146,6 +176,11 @@ def test_golden(goldens, case):
 if __name__ == "__main__":
     import sys
 
+    if sys.argv[1:] == ["--compare"]:
+        stored = json.loads(GOLDENS.read_text())
+        for name, *args in CASES:
+            print(f"{name}: {deviation(compute(*args), stored[name])}")
+        sys.exit()
     names = sys.argv[1:] or [c[0] for c in CASES]
     unknown = set(names) - {c[0] for c in CASES}
     if unknown:

@@ -16,7 +16,7 @@ from csskit.proximal import (
     tv_norm,
     tv_prox,
 )
-from oracles import kkt_ball_projection
+from oracles import kkt_ball_projection, reference_tv_prox
 
 
 class DenseOp:
@@ -128,58 +128,6 @@ def test_tv_prox_never_increases_rof_objective():
         assert after <= before + 1e-12
 
 
-def reference_tv_prox(image, lam, max_iters, tol):
-    """The one-image Chambolle loop, allocating afresh in every iteration.
-
-    Returns the prox and the number of iterations run, so tests can tell
-    when two images of a stack stop at different iterations.
-    """
-    def grad(u):
-        gx = np.zeros_like(u)
-        gy = np.zeros_like(u)
-        gx[:-1, :] = u[1:, :] - u[:-1, :]
-        gy[:, :-1] = u[:, 1:] - u[:, :-1]
-        return gx, gy
-
-    def div(px, py):
-        dx = np.zeros_like(px)
-        if px.shape[0] > 1:
-            dx[0, :] = px[0, :]
-            dx[1:-1, :] = px[1:-1, :] - px[:-2, :]
-            dx[-1, :] = -px[-2, :]
-        dy = np.zeros_like(py)
-        if py.shape[1] > 1:
-            dy[:, 0] = py[:, 0]
-            dy[:, 1:-1] = py[:, 1:-1] - py[:, :-2]
-            dy[:, -1] = -py[:, -2]
-        return dx + dy
-
-    def tv(u):
-        gx, gy = grad(u)
-        return float(np.sum(np.sqrt(gx**2 + gy**2)))
-
-    if lam == 0 or image.size < 2:
-        return image.copy(), 0
-    px = np.zeros_like(image)
-    py = np.zeros_like(image)
-    scaled = image / lam
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        gx, gy = grad(div(px, py) - scaled)
-        denom = 1.0 + TV_DUAL_STEP * np.sqrt(gx**2 + gy**2)
-        px_new = (px + TV_DUAL_STEP * gx) / denom
-        py_new = (py + TV_DUAL_STEP * gy) / denom
-        change = np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2))
-        base = max(np.sqrt(np.sum(px**2 + py**2)), 1e-12)
-        px, py = px_new, py_new
-        if change / base < tol:
-            break
-    u = image - lam * div(px, py)
-    if lam * tv(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv(image):
-        return image.copy(), iters
-    return u, iters
-
-
 @st.composite
 def image_stacks(draw):
     k = draw(st.integers(1, 4))
@@ -211,7 +159,7 @@ def test_tv_prox_stack_equals_separate_calls(stack, lam, max_iters, tol):
     assert got.shape == stack.shape
     for i, image in enumerate(stack):
         single = tv_prox(image, lam, max_iters, tol)
-        reference, _ = reference_tv_prox(image, lam, max_iters, tol)
+        reference, _, _ = reference_tv_prox(image, lam, max_iters, tol)
         assert got[i].tobytes() == single.tobytes() == reference.tobytes()
 
 
@@ -247,6 +195,51 @@ def test_tv_prox_warm_stack_equals_separate_calls(stack, lam, max_iters, tol, se
         assert dual[:, i].tobytes() == duals[i].tobytes()
     # Chambolle's step maps the pointwise unit ball into itself
     assert np.hypot(dual[0], dual[1]).max(initial=0.0) <= 1.0 + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=image_stacks(),
+    lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    max_iters=st.integers(0, 60),
+    tol=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(stack=TWO_SCALES, lam=0.5, max_iters=100, tol=1e-3, seed=0)
+def test_tv_prox_warm_stack_matches_the_reference(stack, lam, max_iters, tol, seed):
+    dual = unit_ball_dual(np.random.default_rng(seed), (2,) + stack.shape)
+    start = dual.copy()
+    got = tv_prox(stack, lam, max_iters, tol, dual=dual)
+    for i, image in enumerate(stack):
+        reference, _, final = reference_tv_prox(image, lam, max_iters, tol, dual=start[:, i])
+        assert got[i].tobytes() == reference.tobytes()
+        assert dual[:, i].tobytes() == final.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stack=image_stacks(),
+    lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    max_iters=st.integers(0, 60),
+    tol=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tv_prox_zeroes_the_dual_entries_div_ignores(stack, lam, max_iters, tol, seed):
+    # the last row of px and the last column of py never reach div p: any
+    # values there are dropped on entry and come back as zero
+    rng = np.random.default_rng(seed)
+    zeroed = unit_ball_dual(rng, (2,) + stack.shape)
+    zeroed[0, :, -1, :] = 0.0
+    zeroed[1, :, :, -1] = 0.0
+    noisy = zeroed.copy()
+    noisy[0, :, -1, :] = rng.normal(size=noisy[0, :, -1, :].shape)
+    noisy[1, :, :, -1] = rng.normal(size=noisy[1, :, :, -1].shape)
+    want = tv_prox(stack, lam, max_iters, tol, dual=zeroed)
+    got = tv_prox(stack, lam, max_iters, tol, dual=noisy)
+    assert got.tobytes() == want.tobytes()
+    assert noisy.tobytes() == zeroed.tobytes()
+    assert not np.signbit(noisy[0, :, -1, :]).any() and not noisy[0, :, -1, :].any()
+    assert not np.signbit(noisy[1, :, :, -1]).any() and not noisy[1, :, :, -1].any()
 
 
 def test_tv_prox_warm_start_from_a_converged_dual_reproduces_the_cold_prox():
