@@ -61,7 +61,7 @@ def _cmd_sample(args) -> int:
                            np.random.SeedSequence(args.seed).generate_state(2))
     op = make_sampling_operator(args.scheme, args.core, n1, n2, seed=op_seed,
                                 m_hat=m_hat, m=m, mixing=mixing)
-    y_clean = op.forward(np.asarray(cube.data), space="data")
+    y_clean = op.forward(np.asarray(cube.data))
     descriptor = {
         "scheme": args.scheme, "core": args.core,
         "n1": n1, "n2": n2, "rows": cube.rows, "cols": cube.cols,

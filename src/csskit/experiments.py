@@ -151,7 +151,7 @@ def _solve_cell(config: ExperimentConfig, scene: Scene, rate: float,
     op = make_sampling_operator(
         config.scheme, config.core, n1, spec.channels, seed=op_seed,
         m_hat=m_hat, m=m, mixing=scene.mixing)
-    y_clean = op.forward(np.asarray(scene.cube.data), space="data")
+    y_clean = op.forward(np.asarray(scene.cube.data))
     mset = add_noise(y_clean, snr_db, noise_seed)
     wav = Wavelet2D(spec.rows, spec.cols, config.wavelet)
     solver = config.solver

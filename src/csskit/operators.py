@@ -162,10 +162,9 @@ class SamplingOperator:
     """Scheme-tagged acquisition map from a cube to a measurement vector.
 
     Use :func:`make_sampling_operator` to construct. ``forward`` consumes an
-    ``(n1, n2)`` cube matrix (the decorrelating scheme also accepts an
-    ``(n1, rho)`` source matrix, selected by column count or the explicit
-    ``space`` argument) and emits the measurement vector in pixel-major
-    order. ``adjoint`` is the exact transpose of the cube-space map.
+    ``(n1, n2)`` cube matrix and emits the measurement vector in
+    pixel-major order; ``adjoint`` is its exact transpose. Sources reach the
+    measurements through :class:`SourceSpaceMap`.
     """
 
     def __init__(self, scheme: str, core: CoreOperator, n1: int, n2: int,
@@ -211,51 +210,28 @@ class SamplingOperator:
             return self.core.nu
         return None  # pinv(H) spoils tightness in cube space
 
-    def _resolve_space(self, arr: np.ndarray, space: str | None) -> str:
-        if self.scheme != "decorrelating":
-            return "data"
-        if space is not None:
-            if space not in ("data", "sources"):
-                raise ValueError("space must be 'data' or 'sources'")
-            return space
-        rho = self.mixing.rho
-        if self.n2 == rho:
-            raise ValueError("n2 == rho is ambiguous; pass space= explicitly")
-        if arr.shape[1] == self.n2:
-            return "data"
-        if arr.shape[1] == rho:
-            return "sources"
-        raise ValueError(f"got {arr.shape[1]} columns, expected {self.n2} or {rho}")
-
-    def forward(self, arr: np.ndarray, space: str | None = None) -> np.ndarray:
+    def forward(self, arr: np.ndarray, space: str = "data") -> np.ndarray:
+        # "data" (the cube) is the only space; the keyword stays for callers
+        # that still pass it
+        if space != "data":
+            raise ValueError("a sampling operator maps cubes only (space='data')")
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != self.n1:
-            raise ValueError(f"expected an ({self.n1}, .) matrix")
+        if arr.shape != (self.n1, self.n2):
+            raise ValueError(f"expected an ({self.n1}, {self.n2}) cube matrix")
         if self.scheme == "dense":
-            if arr.shape[1] != self.n2:
-                raise ValueError(f"expected {self.n2} channels")
             return self._dense_mat @ arr.ravel(order="F")
-        if self.scheme == "uniform":
-            if arr.shape[1] != self.n2:
-                raise ValueError(f"expected {self.n2} channels")
-            return self.core.forward(arr).ravel(order="F")
-        if self._resolve_space(arr, space) == "data":
+        if self.scheme == "decorrelating":
             arr = arr @ self.mixing.pinv.T
         return self.core.forward(arr).ravel(order="F")
 
-    def adjoint(self, y: np.ndarray, space: str | None = None) -> np.ndarray:
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.m,):
             raise ValueError(f"expected measurement vector of length {self.m}")
         if self.scheme == "dense":
             return (self._dense_mat.T @ y).reshape(self.n1, self.n2, order="F")
-        if self.scheme == "uniform":
-            return self.core.adjoint(y.reshape(self.core.m_hat, self.n2, order="F"))
-        Y = y.reshape(self.core.m_hat, self.mixing.rho, order="F")
-        back = self.core.adjoint(Y)
-        if space == "sources":
-            return back
-        return back @ self.mixing.pinv
+        back = self.core.adjoint(self.y_as_matrix(y))
+        return back if self.scheme == "uniform" else back @ self.mixing.pinv
 
     def y_as_matrix(self, y: np.ndarray) -> np.ndarray:
         """Unstack a measurement vector into its ``(m_hat, channels)`` matrix."""
@@ -327,7 +303,7 @@ class SourceSpaceMap:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if self.op.scheme == "decorrelating":
-            return self.op.adjoint(y, space="sources")
+            return self.op.core.adjoint(self.op.y_as_matrix(y))
         if self.op.scheme == "uniform":
             return self.op.core.adjoint(self.op.y_as_matrix(y) @ self.mixing.data)
         return (self._folded.T @ y).reshape(self.shape_in, order="F")

@@ -32,7 +32,7 @@ from .wavelets import Wavelet2D
 
 PRIORS = ("tv", "l1-wavelet")
 
-# operator_norm is a power-iteration lower bound on ||M||. At 50 iterations
+# operator_norm is a power-iteration lower bound on ||L||. At 50 iterations
 # it fell short by up to 3.3 % on gaussian and bernoulli cores, so IHT's
 # default step on a map with neither a tight-frame constant nor a core SVD
 # (the uniform and dense schemes) uses the estimate inflated by this factor.
@@ -44,11 +44,11 @@ class SolverConfig:
     """Iteration controls shared by all solvers.
 
     beta is the proximal weight of the splitting; gamma_step overrides the
-    hard-thresholding step size (default 1/||M||^2: exact for tight frames
-    and for decorrelating non-tight cores, whose SVD gives ||M|| =
-    sigma_max(A); else with the power-iteration norm estimate inflated by
-    10 % so the step stays below the bound); iht_k is the sparsity budget of
-    the hard-thresholding solver.
+    hard-thresholding step size (default 1/||L||^2 for the source map L:
+    exact for tight frames and for decorrelating non-tight cores, whose SVD
+    gives ||L|| = sigma_max(A); else with the power-iteration norm estimate
+    inflated by 10 % so the step stays below the bound); iht_k is the
+    sparsity budget of the hard-thresholding solver.
     """
 
     beta: float = 1.0
@@ -144,28 +144,11 @@ class SolveResult:
             raise ValueError("certified residual must be finite")
 
 
-class _SynthesisMap:
-    """Compose a source-space map with per-column wavelet synthesis."""
-
-    def __init__(self, inner, wavelet: Wavelet2D):
-        self.inner = inner
-        self.wavelet = wavelet
-        self.nu = inner.nu
-
-    def forward(self, theta):
-        return self.inner.forward(self.wavelet.inverse_cols(theta))
-
-    def adjoint(self, y):
-        return self.wavelet.forward_cols(self.inner.adjoint(y))
-
-
 def _core_svd(L):
     """Thin SVD ``(U, sig, Vt)`` of the core ``A`` of a decorrelating source
-    map ``I_rho (x) A`` that is not a tight frame, bare or composed with
-    wavelet synthesis, or None: for any other map, and for a numerically
-    rank-deficient core, whose affine set may be empty and whose SVD solve
-    would divide by ~0."""
-    L = L.inner if isinstance(L, _SynthesisMap) else L
+    map ``I_rho (x) A`` that is not a tight frame, or None: for any other
+    map, and for a numerically rank-deficient core, whose affine set may be
+    empty and whose SVD solve would divide by ~0."""
     if not isinstance(L, SourceSpaceMap) or L.op.scheme != "decorrelating" or L.nu is not None:
         return None
     A = L.op.core.as_matrix()
@@ -178,28 +161,23 @@ def _core_svd(L):
 def _ball_machinery(L, y, epsilon, config, shape, flags):
     """Return (prox, certify) for the measurement-fidelity ball of L.
 
-    Tight frames get the exact closed form, and a decorrelating map on a
-    full-rank non-tight core the exact projection from the core's SVD; with
-    wavelet synthesis ``M = L W^T`` in front, the wavelets are orthonormal,
-    so ``P_M(theta) = W P_L(W^T theta)``. Everything else gets the iterative
-    dual forward-backward projection with a one-time operator-norm
-    estimate. A projection that stops at ``config.ball_max_iters`` adds
-    ``"ball-projection-capped"`` to the ``flags`` set.
+    Tight frames get the exact closed form, and a decorrelating source map
+    on a full-rank non-tight core the exact projection from the core's SVD.
+    Everything else (the uniform and dense maps on non-tight cores) gets the
+    iterative dual forward-backward projection with a one-time
+    operator-norm estimate. A projection that stops at
+    ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to the
+    ``flags`` set.
     """
     svd = _core_svd(L)
     if L.nu is not None:
         def project(S):
             return l2ball_project_tightframe(S, y, L, epsilon, L.nu)
     elif svd is not None:
-        wav = L.wavelet if isinstance(L, _SynthesisMap) else None
-        core = (L if wav is None else L.inner).op.core
-        Y = y.reshape(core.m_hat, -1, order="F")
+        Y = L.op.y_as_matrix(y)
 
         def project(S):
-            if wav is None:
-                return l2ball_project_svd(S, Y, core, epsilon, svd)
-            return wav.forward_cols(
-                l2ball_project_svd(wav.inverse_cols(S), Y, core, epsilon, svd))
+            return l2ball_project_svd(S, Y, L.op.core, epsilon, svd)
     else:
         norm_est = operator_norm(L, shape, iters=config.power_iters)
 
@@ -255,6 +233,15 @@ def _tv_columns_prox(rows, cols, k, config, flags):
                       dual=dual, flags=flags)
         # C order like X, so norms of the iterates sum in an unchanged order
         return np.ascontiguousarray(out.reshape(k, rows * cols).T)
+
+    return prox
+
+
+def _l1_wavelet_prox(wav):
+    """Prox of w times the analysis prior ``||W S||_1``, W the orthonormal
+    per-column wavelet transform: ``W^T soft(W S, w)``."""
+    def prox(S, w):
+        return wav.inverse_cols(soft_threshold(wav.forward_cols(S), w))
 
     return prox
 
@@ -327,8 +314,7 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
     if problem.prior == "tv":
         prior_prox = _tv_columns_prox(wav.rows, wav.cols, problem.rho, config, flags)
     else:
-        def prior_prox(S, w):
-            return wav.inverse_cols(soft_threshold(wav.forward_cols(S), w))
+        prior_prox = _l1_wavelet_prox(wav)
 
     s_hat, result = _splitting_solve(
         SourceSpaceMap(problem.operator, problem.effective_mixing),
@@ -364,20 +350,22 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     y = problem.measurements.y
     wav = problem.wavelet
     L = SourceSpaceMap(problem.operator, problem.effective_mixing)
-    M = _SynthesisMap(L, wav)
     n1 = problem.operator.n1
     shape = (n1, problem.rho)
     gamma = config.gamma_step
     if gamma is None:
-        # the wavelets are orthonormal, so ||M|| = ||L||
+        # the wavelets are orthonormal, so ||L W^T|| = ||L||
         svd = _core_svd(L)
-        if M.nu is not None:
-            norm_sq = M.nu
+        if L.nu is not None:
+            norm_sq = L.nu
         elif svd is not None:
             norm_sq = svd[1][0] ** 2
         else:
-            norm_sq = (_IHT_NORM_MARGIN * operator_norm(M, shape, config.power_iters)) ** 2
+            norm_sq = (_IHT_NORM_MARGIN * operator_norm(L, shape, config.power_iters)) ** 2
         gamma = 1.0 / norm_sq
+
+    def residual(theta):
+        return y - L.forward(wav.inverse_cols(theta))
 
     def notify(iteration, step, theta):
         if step_monitor is not None:
@@ -389,7 +377,7 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     converged = diverged = False
     for it in range(1, config.max_iters + 1):
         prev = theta
-        theta = theta + gamma * M.adjoint(y - M.forward(theta))
+        theta = theta + gamma * wav.forward_cols(L.adjoint(residual(theta)))
         notify(it, 1, theta)
         theta = hard_threshold_topk(theta.ravel(order="F"), k).reshape(shape, order="F")
         notify(it, 2, theta)
@@ -417,7 +405,7 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
             theta = prev
             break
         change = np.linalg.norm(theta - prev) / max(np.linalg.norm(prev), 1.0)
-        trace.append((float(np.linalg.norm(y - M.forward(theta))), change))
+        trace.append((float(np.linalg.norm(residual(theta))), change))
         if change < config.rel_tol:
             converged = True
             break
@@ -443,18 +431,19 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
                config: SolverConfig | None = None) -> tuple[HsiCube, SolveResult]:
     """Full-cube baseline: minimum-l1 wavelet coefficients per channel.
 
-    Solves for the channelwise coefficient matrix subject to the
-    measurement ball of the cube-space operator, then synthesizes the cube.
-    The measurements must come from a cube-space scheme (dense or uniform).
+    Minimizes ``||W X||_1`` over the measurement ball of the cube-space
+    operator; with W orthonormal this is the synthesis problem on the
+    coefficients ``theta = W X``, which ``theta_hat`` reports. The
+    measurements must come from a cube-space scheme (dense or uniform).
     """
     if operator.scheme == "decorrelating":
         raise ValueError("cube baselines need dense or uniform measurements")
     config = config if config is not None else SolverConfig()
     # a dense or uniform operator maps the cube straight to data space
-    theta, result = _splitting_solve(_SynthesisMap(operator, wavelet), y, epsilon, config,
-                                     (operator.n1, operator.n2), soft_threshold)
-    cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, wavelet.inverse_cols(theta))
-    return cube, dataclasses.replace(result, theta_hat=theta)
+    x, result = _splitting_solve(operator, y, epsilon, config, (operator.n1, operator.n2),
+                                 _l1_wavelet_prox(wavelet))
+    cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, x)
+    return cube, dataclasses.replace(result, theta_hat=wavelet.forward_cols(x))
 
 
 def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
@@ -484,16 +473,20 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
     """Source recovery as unconstrained synthesis-sparsity minimization.
 
     Minimizes the l1 norm of the stacked source coefficients over the
-    measurement ball; no simplex constraint. Under the decorrelating scheme
-    with epsilon = 0 the problem separates into one recovery per source:
-    the affine ball projection and the l1 prox both act column by column,
-    so the joint iteration is the per-source iteration, and one joint solve
+    measurement ball; no simplex constraint. The wavelets are orthonormal,
+    so the synthesis problem on ``theta`` is the analysis problem
+    ``min ||W S||_1`` on the sources ``S = W^T theta``, and that is the one
+    solved; the name keeps the paper's synthesis formulation, which
+    ``theta_hat = W s_hat`` reports. Under the decorrelating scheme with
+    epsilon = 0 the problem separates into one recovery per source: the
+    affine ball projection and the l1 prox both act column by column, so
+    the joint iteration is the per-source iteration, and one joint solve
     runs them all (only its stopping test looks at every source at once).
     """
     config = config if config is not None else SolverConfig()
-    theta, result = _splitting_solve(_SynthesisMap(SourceSpaceMap(operator, H), wavelet), y,
-                                     epsilon, config, (operator.n1, H.rho), soft_threshold)
-    return dataclasses.replace(result, s_hat=wavelet.inverse_cols(theta), theta_hat=theta)
+    s_hat, result = _splitting_solve(SourceSpaceMap(operator, H), y, epsilon, config,
+                                     (operator.n1, H.rho), _l1_wavelet_prox(wavelet))
+    return dataclasses.replace(result, s_hat=s_hat, theta_hat=wavelet.forward_cols(s_hat))
 
 
 def harden_sources(S_hat) -> SourceMatrix:

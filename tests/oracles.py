@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.optimize import brentq
 
-from csskit.proximal import TV_DUAL_STEP
+from csskit.proximal import TV_DUAL_STEP, soft_threshold
+from csskit.solvers import _splitting_solve
 
 
 def kkt_ball_projection(A, s, y, epsilon):
@@ -102,3 +103,25 @@ def reference_tv_prox(image, lam, max_iters, tol, dual=None):
     if lam * tv(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv(image):
         return image.copy(), iters, np.zeros((2,) + image.shape)
     return u, iters, np.stack([px, py])
+
+
+class SynthesisMap:
+    """A source or cube map composed with per-column wavelet synthesis,
+    ``theta -> L(W^T theta)``: the map of the synthesis-form l1 problem."""
+
+    def __init__(self, inner, wavelet):
+        self.inner, self.wavelet, self.nu = inner, wavelet, inner.nu
+
+    def forward(self, theta):
+        return self.inner.forward(self.wavelet.inverse_cols(theta))
+
+    def adjoint(self, y):
+        return self.wavelet.forward_cols(self.inner.adjoint(y))
+
+
+def synthesis_l1_solve(L, wavelet, y, epsilon, config, shape):
+    """Reference: ``min ||theta||_1 s.t. ||y - L W^T theta|| <= epsilon`` by
+    the splitting engine iterating on the coefficients ``theta``. Returns
+    the certified ``theta`` and its ``SolveResult``."""
+    return _splitting_solve(SynthesisMap(L, wavelet), y, epsilon, config, shape,
+                            soft_threshold)

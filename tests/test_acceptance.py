@@ -155,7 +155,7 @@ def test_criterion_05_conditioning_robustness():
     def solve(scene, scheme, m_hat):
         op = make_sampling_operator(scheme, RC, 256, 8, seed=11,
                                     m_hat=m_hat, mixing=scene.mixing)
-        y = op.forward(np.asarray(scene.cube.data), space="data")
+        y = op.forward(np.asarray(scene.cube.data))
         problem = RecoveryProblem(noiseless(y), op, wav, 2, prior="tv",
                                   constraints=True, mixing=scene.mixing)
         return accuracy(scene.labels, ppxa_solve(problem, SCENE_CFG).s_hat)
@@ -197,7 +197,7 @@ def test_criterion_07_hard_threshold_step_contracts():
     scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=0))
     op = make_sampling_operator("decorrelating", RC, 256, 8, seed=2,
                                 m_hat=64, mixing=scene.mixing)
-    y = op.forward(np.asarray(scene.cube.data), space="data")
+    y = op.forward(np.asarray(scene.cube.data))
     wav = Wavelet2D(16, 16, "haar")
     records = {}
     result = iht_ss_solve(
@@ -290,7 +290,7 @@ def test_criterion_10_baseline_dominance():
                                     m_hat=128, mixing=scene.mixing)
     start = time.perf_counter()
     res_dec = ppxa_solve(RecoveryProblem(
-        noiseless(op_dec.forward(cube, space="data")), op_dec, wav, 3,
+        noiseless(op_dec.forward(cube)), op_dec, wav, 3,
         prior="tv", constraints=True, mixing=scene.mixing), cfg)
     wall_dec = time.perf_counter() - start
     snr_dec = reconstruction_snr(
@@ -300,12 +300,12 @@ def test_criterion_10_baseline_dominance():
                                       m=1024)
     start = time.perf_counter()
     ppxa_solve(RecoveryProblem(
-        noiseless(op_dense.forward(cube, space="data")), op_dense, wav, 3,
+        noiseless(op_dense.forward(cube)), op_dense, wav, 3,
         prior="tv", constraints=True, mixing=scene.mixing), cfg)
     wall_dense = time.perf_counter() - start
 
     op_uni = make_sampling_operator("uniform", RC, 1024, 8, seed=5, m_hat=128)
-    y_uni = op_uni.forward(cube, space="data")
+    y_uni = op_uni.forward(cube)
     base_cfg = SolverConfig(beta=0.1, max_iters=300, rel_tol=1e-9,
                             tv_max_iters=100, tv_tol=1e-6)
     cube_bp, _ = bpdn_solve(y_uni, op_uni, wav, 0.0, base_cfg)

@@ -84,7 +84,7 @@ def compute(method, scheme, core, family, snr_db, config):
     n1 = ROWS * COLS
     op = make_sampling_operator(scheme, core, n1, SPEC.channels, seed=42,
                                 m_hat=n1 // 4, mixing=scene.mixing)
-    mset = add_noise(op.forward(np.asarray(scene.cube.data), space="data"), snr_db, 43)
+    mset = add_noise(op.forward(np.asarray(scene.cube.data)), snr_db, 43)
     wav = Wavelet2D(ROWS, COLS, family)
     if method == "bpdn":
         cube, res = bpdn_solve(mset.y, op, wav, mset.epsilon, config)

@@ -17,8 +17,6 @@ from csskit.operators import (
     operator_norm,
     verify_tight_frame,
 )
-from csskit.solvers import _SynthesisMap
-from csskit.wavelets import Wavelet2D
 
 RC = "random-convolution"
 
@@ -158,7 +156,7 @@ def test_decorrelation_identity_small():
     H = random_mixing(rng, 4, 2)
     X = S @ H.data.T
     op = make_sampling_operator("decorrelating", RC, 16, 4, seed=2, m_hat=8, mixing=H)
-    via_cube = op.forward(X, space="data")
+    via_cube = op.forward(X)
     per_source = op.core.forward(S).ravel(order="F")
     assert np.linalg.norm(via_cube - per_source) <= 1e-10 * np.linalg.norm(per_source)
 
@@ -172,7 +170,7 @@ def test_decorrelation_identity_matches_kron_oracle():
     lhs = np.kron(H.pinv, A_core) @ np.kron(H.data, np.eye(8)) @ S.ravel(order="F")
     rhs = np.kron(np.eye(2), A_core) @ S.ravel(order="F")
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-    np.testing.assert_allclose(op.forward(S @ H.data.T, space="data"), rhs, atol=1e-10)
+    np.testing.assert_allclose(op.forward(S @ H.data.T), rhs, atol=1e-10)
 
 
 @pytest.mark.parametrize("scheme", ["dense", "uniform", "decorrelating"])
@@ -184,23 +182,25 @@ def test_adjoint_dot_product(scheme):
     for _ in range(5):
         X = rng.normal(size=(16, 4))
         y = rng.normal(size=op.m)
-        lhs = float(op.forward(X, space="data") @ y)
+        lhs = float(op.forward(X) @ y)
         rhs = float(np.sum(X * op.adjoint(y)))
         assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(X) * np.linalg.norm(y) + 1)
 
 
-def test_decorrelating_space_disambiguation():
+def test_sampling_operator_maps_cubes_only():
     rng = np.random.default_rng(20)
-    H = random_mixing(rng, 2, 2)  # n2 == rho: ambiguous
+    H = random_mixing(rng, 2, 2)  # n2 == rho: a cube and a source matrix look alike
     op = make_sampling_operator("decorrelating", RC, 8, 2, seed=5, m_hat=4, mixing=H)
-    arr = rng.normal(size=(8, 2))
-    with pytest.raises(ValueError):
-        op.forward(arr)
-    out_sources = op.forward(arr, space="sources")
+    X = rng.normal(size=(8, 2))
     np.testing.assert_allclose(
-        out_sources, op.core.forward(arr).ravel(order="F"), atol=1e-14)
+        op.forward(X), op.core.forward(X @ H.pinv.T).ravel(order="F"), atol=1e-14)
+    wide = make_sampling_operator("decorrelating", RC, 8, 3, seed=5, m_hat=4,
+                                  mixing=random_mixing(rng, 3, 2))
     with pytest.raises(ValueError):
-        op.forward(arr, space="bogus")
+        wide.forward(rng.normal(size=(8, 2)))  # rho columns are not a cube
+    for space in ("sources", "bogus"):
+        with pytest.raises(ValueError):
+            op.forward(X, space=space)
 
 
 def test_source_space_map_matches_composition():
@@ -227,13 +227,11 @@ def test_source_space_map_matches_composition():
 
 @st.composite
 def source_maps(draw, schemes=("dense", "uniform", "decorrelating")):
-    """A SourceSpaceMap on a random scheme, core kind and shape, with the
-    image dims of its pixel axis (powers of two: random-convolution cores
-    and wavelets need them)."""
+    """A SourceSpaceMap on a random scheme, core kind and shape (the pixel
+    count a power of two, as random-convolution cores need), with a seed."""
     scheme = draw(st.sampled_from(schemes))
     kind = draw(st.sampled_from(["gaussian", "bernoulli", RC]))
-    rows, cols = 2 ** draw(st.integers(1, 3)), 2 ** draw(st.integers(1, 3))
-    n1 = rows * cols
+    n1 = 2 ** draw(st.integers(2, 6))
     rho = draw(st.integers(1, 3))
     n2 = 2 ** draw(st.integers(max(rho - 1, 0), 3))
     seed = draw(st.integers(0, 2**31 - 1))
@@ -243,28 +241,26 @@ def source_maps(draw, schemes=("dense", "uniform", "decorrelating")):
     else:
         sizes = {"m_hat": draw(st.integers(1, n1))}
     op = make_sampling_operator(scheme, kind, n1, n2, seed=seed, mixing=H, **sizes)
-    return SourceSpaceMap(op, H), rows, cols, seed
+    return SourceSpaceMap(op, H), seed
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=source_maps(), family=st.sampled_from(["haar", "db4"]))
-def test_source_and_synthesis_maps_are_adjoint(case, family):
-    L, rows, cols, seed = case
+@given(case=source_maps())
+def test_source_maps_are_adjoint(case):
+    L, seed = case
     rng = np.random.default_rng(seed + 1)
     S = rng.normal(size=L.shape_in)
     y = rng.normal(size=L.m)
     scale = np.linalg.norm(S) * np.linalg.norm(y) + 1.0
     assert abs(float(L.forward(S) @ y) - float(np.sum(S * L.adjoint(y)))) <= 1e-12 * scale
-    M = _SynthesisMap(L, Wavelet2D(rows, cols, family))
-    assert abs(float(M.forward(S) @ y) - float(np.sum(S * M.adjoint(y)))) <= 1e-12 * scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=source_maps(schemes=("uniform",)))
 def test_uniform_source_map_matches_the_cube_path(case):
-    L, _, _, seed = case
+    L, seed = case
     S = np.random.default_rng(seed + 2).normal(size=L.shape_in)
-    want = L.op.forward(S @ L.mixing.data.T, space="data")
+    want = L.op.forward(S @ L.mixing.data.T)
     got = L.forward(S)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -272,7 +268,7 @@ def test_uniform_source_map_matches_the_cube_path(case):
 @settings(max_examples=150, deadline=None)
 @given(case=source_maps(schemes=("dense",)))
 def test_dense_source_map_folds_the_mixing_into_the_matrix(case):
-    L, _, _, seed = case
+    L, seed = case
     rng = np.random.default_rng(seed + 3)
     S = rng.normal(size=L.shape_in)
     want = L.op.forward(S @ L.mixing.data.T)
@@ -342,7 +338,7 @@ def test_post_processing_equals_decorrelating_scheme():
     uni = make_sampling_operator("uniform", RC, 16, 6, seed=9, m_hat=8)
     dec = make_sampling_operator("decorrelating", RC, 16, 6, seed=9, m_hat=8, mixing=H)
     Y_star, _ = decorrelate_measurements(uni.y_as_matrix(uni.forward(X)), H)
-    y_dec = dec.forward(X, space="data")
+    y_dec = dec.forward(X)
     assert np.linalg.norm(Y_star.ravel(order="F") - y_dec) <= 1e-9 * np.linalg.norm(y_dec)
 
 

@@ -27,6 +27,7 @@ from csskit.solvers import (
     tvdn_solve,
 )
 from csskit.wavelets import Wavelet2D
+from oracles import synthesis_l1_solve
 
 RC = "random-convolution"
 
@@ -88,7 +89,7 @@ def test_determined_instance_recovers_truth(det_scene, method):
     op = make_sampling_operator(
         "decorrelating", RC, 64, 4, seed=1, m_hat=64, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     if method == "iht":
         k = true_sparsity(wav, scene.sources)
         res = iht_ss_solve(
@@ -115,7 +116,7 @@ def test_single_source_identity_sampling_is_exact():
     H = MixingMatrix(np.array([[1.0]]))
     op = SamplingOperator("decorrelating", IdentityCore(n1), n1, 1, mixing=H)
     S = np.ones((n1, 1))
-    y = op.forward(S @ H.data.T, space="data")
+    y = op.forward(S @ H.data.T)
     prob = RecoveryProblem(noiseless(y), op, Wavelet2D(4, 4), 1, prior="tv")
     res = ppxa_solve(prob, SolverConfig(max_iters=100))
     assert np.max(np.abs(res.s_hat - 1.0)) < 1e-6
@@ -130,7 +131,7 @@ def test_ppxa_tv_quarter_rate_exact_separation(desk_scene):
     op = make_sampling_operator(
         "decorrelating", RC, 256, 6, seed=7, m_hat=64, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     prob = RecoveryProblem(noiseless(y), op, Wavelet2D(16, 16), 2)
     # small prox weight tightens feasibility fast on noiseless instances
     res = ppxa_solve(
@@ -148,7 +149,7 @@ def test_ppxa_noisy_measurements_stay_useful(desk_scene):
     op = make_sampling_operator(
         "decorrelating", RC, 256, 6, seed=9, m_hat=64, mixing=scene.mixing
     )
-    mset = add_noise(op.forward(scene.cube.data, space="data"), 30.0, seed=10)
+    mset = add_noise(op.forward(scene.cube.data), 30.0, seed=10)
     prob = RecoveryProblem(mset, op, Wavelet2D(16, 16), 2)
     res = ppxa_solve(prob, SolverConfig(max_iters=400))
     assert accuracy(scene.labels, res.s_hat) >= 0.95
@@ -160,7 +161,7 @@ def test_ppxa_certified_output_invariants(desk_scene):
     op = make_sampling_operator(
         "decorrelating", RC, 256, 6, seed=11, m_hat=64, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     prob = RecoveryProblem(noiseless(y), op, Wavelet2D(16, 16), 2, prior="l1-wavelet")
     res = ppxa_solve(prob, SolverConfig(max_iters=1500, rel_tol=1e-7))
     assert res.converged is True  # a plain bool, so result.json can hold it
@@ -198,7 +199,7 @@ def test_ppxa_flags_capped_ball_projection(det_scene):
         op = make_sampling_operator(
             scheme, core, 64, 4, seed=16, m_hat=32, mixing=scene.mixing
         )
-        y = op.forward(scene.cube.data, space="data")
+        y = op.forward(scene.cube.data)
         prob = RecoveryProblem(
             noiseless(y), op, Wavelet2D(8, 8), 2, prior="l1-wavelet", mixing=scene.mixing
         )
@@ -211,7 +212,7 @@ def test_tv_solves_flag_a_capped_tv_prox(det_scene, method):
     scene = det_scene
     scheme = "decorrelating" if method == "ppxa-tv" else "uniform"
     op = make_sampling_operator(scheme, RC, 64, 4, seed=17, m_hat=32, mixing=scene.mixing)
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     # one inner iteration never passes the stopping test from a zero dual;
     # a loose tol stops every inner loop well before 5000 iterations
     for tv_max_iters, tv_tol, capped in ((1, 1e-5, True), (5000, 1e-3, False)):
@@ -234,7 +235,7 @@ def test_scheme_equivalence_postprocessed_uniform_vs_decorrelating(desk_scene):
     Y_star, _ = decorrelate_measurements(
         uni.y_as_matrix(uni.forward(scene.cube.data)), scene.mixing
     )
-    y_direct = dec.forward(scene.cube.data, space="data")
+    y_direct = dec.forward(scene.cube.data)
     wav = Wavelet2D(16, 16)
     cfg = SolverConfig(max_iters=300, rel_tol=1e-7)
     r_post = ppxa_solve(
@@ -252,7 +253,7 @@ def test_iht_step_contracts():
     op = make_sampling_operator(
         "decorrelating", RC, 64, 4, seed=18, m_hat=32, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     wav = Wavelet2D(8, 8)
     k = 6
     steps: dict[int, dict[int, np.ndarray]] = {}
@@ -317,7 +318,7 @@ def test_iht_default_step_is_exact_on_a_decorrelating_non_tight_map():
     scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=int(seeds[0])))
     op = make_sampling_operator("decorrelating", "gaussian", 256, 8,
                                 seed=int(seeds[1]), m_hat=128, mixing=scene.mixing)
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     wav = Wavelet2D(16, 16)
     first = {}
 
@@ -354,7 +355,7 @@ def test_fb_ball_step_is_safe(det_scene, scheme, monkeypatch):
         return l2ball_project_fb(s, y, lmap, epsilon, max_iters, tol, op_norm)
 
     monkeypatch.setattr(solvers, "l2ball_project_fb", spy)
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     ppxa_solve(RecoveryProblem(noiseless(y), op, Wavelet2D(8, 8), 2,
                                prior="l1-wavelet", mixing=scene.mixing),
                SolverConfig(max_iters=2, rel_tol=0.0))
@@ -370,7 +371,7 @@ def test_iht_quarter_rate_separation(desk_scene):
     op = make_sampling_operator(
         "decorrelating", RC, 256, 6, seed=19, m_hat=64, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     res = iht_ss_solve(
         RecoveryProblem(noiseless(y), op, wav, 2),
         SolverConfig(max_iters=300, iht_k=true_sparsity(wav, scene.sources)),
@@ -408,7 +409,7 @@ def test_iht_requires_budget():
     op = make_sampling_operator(
         "decorrelating", RC, 16, 3, seed=24, m_hat=8, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     prob = RecoveryProblem(noiseless(y), op, Wavelet2D(4, 4), 2)
     with pytest.raises(ValueError):
         iht_ss_solve(prob, SolverConfig())
@@ -508,7 +509,7 @@ def test_l1_ss_decoupled_path_matches_joint_solve():
     op = make_sampling_operator(
         "decorrelating", RC, 256, 5, seed=32, m_hat=64, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     wav = Wavelet2D(16, 16)
     cfg = SolverConfig(beta=0.1, max_iters=2000, rel_tol=1e-9)
     joint = l1_ss_synthesis_solve(y, op, scene.mixing, wav, 0.0, cfg)
@@ -547,7 +548,7 @@ def test_l1_ss_two_sparse_per_source_exact_recovery():
     op = make_sampling_operator(
         "decorrelating", RC, 64, 4, seed=35, m_hat=32, mixing=H
     )
-    y = op.forward(S @ H.data.T, space="data")
+    y = op.forward(S @ H.data.T)
     res = l1_ss_synthesis_solve(
         y, op, H, wav, 0.0, SolverConfig(beta=0.1, max_iters=2000, rel_tol=1e-9)
     )
@@ -556,19 +557,43 @@ def test_l1_ss_two_sparse_per_source_exact_recovery():
 
 
 def test_l1_ss_exact_ball_projection_on_a_decorrelating_non_tight_core():
-    # the synthesis map over a full-rank gaussian core gets the exact SVD
-    # projection through the orthonormal wavelets, not the capped iterative one
+    # a full-rank gaussian core gets the exact SVD projection, not the
+    # capped iterative one
     scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=1))
     op = make_sampling_operator(
         "decorrelating", "gaussian", 256, 8, seed=2, m_hat=128, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     res = l1_ss_synthesis_solve(
         y, op, scene.mixing, Wavelet2D(16, 16), 0.0,
         SolverConfig(beta=0.5, max_iters=10, rel_tol=0.0),
     )
     assert res.flags == ()
     assert res.residual <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "dense"])
+def test_l1_solves_match_the_synthesis_form_on_a_non_tight_map(det_scene, scheme):
+    # with orthonormal wavelets, min ||W S||_1 over the ball of L solved on
+    # the image is min ||theta||_1 over the ball of L W^T solved on the
+    # coefficients; on a gaussian core both run the FB ball projection
+    scene = det_scene
+    sizes = {"m": 64} if scheme == "dense" else {"m_hat": 16}
+    op = make_sampling_operator(scheme, "gaussian", 64, 4, seed=21,
+                                mixing=scene.mixing, **sizes)
+    mset = add_noise(op.forward(scene.cube.data), 30.0, seed=22)
+    wav = Wavelet2D(8, 8)
+    cfg = SolverConfig(beta=0.5, max_iters=3, rel_tol=0.0, ball_max_iters=5000,
+                       ball_tol=1e-10)
+    res = l1_ss_synthesis_solve(mset.y, op, scene.mixing, wav, mset.epsilon, cfg)
+    theta, ref = synthesis_l1_solve(SourceSpaceMap(op, scene.mixing), wav, mset.y,
+                                    mset.epsilon, cfg, (64, 2))
+    assert res.flags == ref.flags
+    assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9 * np.max(np.abs(theta))
+    _, res = bpdn_solve(mset.y, op, wav, mset.epsilon, cfg)
+    theta, _ = synthesis_l1_solve(op, wav, mset.y, mset.epsilon, cfg, (64, 4))
+    assert res.flags == ()
+    assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9 * np.max(np.abs(theta))
 
 
 # --- hardening and reconstruction ---------------------------------------------
@@ -642,7 +667,7 @@ def test_recovery_problem_validation(det_scene):
     op = make_sampling_operator(
         "decorrelating", RC, 64, 4, seed=39, m_hat=32, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data, space="data")
+    y = op.forward(scene.cube.data)
     wav = Wavelet2D(8, 8)
     with pytest.raises(ValueError):
         RecoveryProblem(noiseless(y), op, wav, 2, prior="ridge")
