@@ -144,11 +144,13 @@ def verify_tight_frame(core, tol: float = 1e-8) -> float:
 
 
 def operator_norm(op, input_shape, iters: int = 50, seed: int = 0) -> float:
-    """Largest singular value of a forward/adjoint pair by power iteration."""
+    """Largest singular value of a forward/adjoint pair by power iteration
+    (a lower bound); ``iters`` must be at least 1."""
+    if int(iters) < 1:
+        raise ValueError("operator_norm needs at least one power iteration")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(input_shape)
     v /= np.linalg.norm(v)
-    lam = 1.0
     for _ in range(int(iters)):
         w = op.adjoint(op.forward(v))
         lam = np.linalg.norm(w)

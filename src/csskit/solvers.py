@@ -48,7 +48,8 @@ class SolverConfig:
     exact for tight frames and for decorrelating non-tight cores, whose SVD
     gives ||L|| = sigma_max(A); else with the power-iteration norm estimate
     inflated by 10 % so the step stays below the bound); iht_k is the
-    sparsity budget of the hard-thresholding solver.
+    sparsity budget of the hard-thresholding solver; power_iters >= 1 runs
+    that norm estimate, which also sets the iterative ball projection's step.
     """
 
     beta: float = 1.0
@@ -73,6 +74,8 @@ class SolverConfig:
             raise ValueError("iht_k must be positive")
         if self.gamma_step is not None and self.gamma_step <= 0:
             raise ValueError("gamma_step must be positive")
+        if self.power_iters < 1:
+            raise ValueError("power_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,37 +162,55 @@ def _core_svd(L):
 
 
 def _ball_machinery(L, y, epsilon, config, shape, flags):
-    """Return (prox, certify) for the measurement-fidelity ball of L.
+    """Return ``(norm_sq, exact, project)``: ``||L||^2``, whether that value
+    is exact, and the projection onto the ball ``||y - L(S)|| <= epsilon``.
 
-    Tight frames get the exact closed form, and a decorrelating source map
-    on a full-rank non-tight core the exact projection from the core's SVD.
-    Everything else (the uniform and dense maps on non-tight cores) gets the
-    iterative dual forward-backward projection with a one-time
-    operator-norm estimate. A projection that stops at
-    ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to the
-    ``flags`` set.
+    Tight frames get ``nu`` and the exact closed form, and a decorrelating
+    source map on a full-rank non-tight core ``sigma_max(A)^2`` and the
+    exact projection from the core's SVD. Everything else (the uniform and
+    dense maps on non-tight cores) gets a power-iteration estimate, a lower
+    bound, and the iterative dual forward-backward projection with that
+    estimate. A projection that stops at ``config.ball_max_iters`` adds
+    ``"ball-projection-capped"`` to the ``flags`` set.
     """
     svd = _core_svd(L)
     if L.nu is not None:
-        def project(S):
-            return l2ball_project_tightframe(S, y, L, epsilon, L.nu)
-    elif svd is not None:
+        return L.nu, True, lambda S: l2ball_project_tightframe(S, y, L, epsilon, L.nu)
+    if svd is not None:
         Y = L.op.y_as_matrix(y)
+        return svd[1][0] ** 2, True, lambda S: l2ball_project_svd(S, Y, L.op.core, epsilon, svd)
+    norm_est = operator_norm(L, shape, iters=config.power_iters)
 
-        def project(S):
-            return l2ball_project_svd(S, Y, L.op.core, epsilon, svd)
-    else:
-        norm_est = operator_norm(L, shape, iters=config.power_iters)
+    def project(S):
+        out, converged = l2ball_project_fb(
+            S, y, L, epsilon, config.ball_max_iters, config.ball_tol, norm_est
+        )
+        if not converged:
+            flags.add("ball-projection-capped")
+        return out
 
-        def project(S):
-            out, converged = l2ball_project_fb(
-                S, y, L, epsilon, config.ball_max_iters, config.ball_tol, norm_est
-            )
-            if not converged:
-                flags.add("ball-projection-capped")
-            return out
+    return norm_est**2, False, project
 
-    return (lambda S, w: project(S)), project
+
+def _certified_result(L, y, epsilon, s_cert, trace, converged, diverged, flags,
+                      raw_residual=None):
+    """``SolveResult`` of the certified estimate ``s_cert`` on the map L,
+    without the estimate. ``raw_residual`` (the uncertified final
+    iterate's) defaults to the certified one. An iterate can stall without
+    being feasible, e.g. on an unreachable ball: only a certified point on
+    the ball (within ``1e-6*||y||`` slack) has converged."""
+    res = float(np.linalg.norm(y - L.forward(s_cert)))
+    return SolveResult(
+        s_hat=None,
+        theta_hat=None,
+        iterations=len(trace),
+        residual=res,
+        raw_residual=res if raw_residual is None else raw_residual,
+        converged=bool(converged and res <= epsilon + 1e-6 * np.linalg.norm(y)),
+        diverged=diverged,
+        trace=tuple(trace),
+        flags=tuple(sorted(flags)),
+    )
 
 
 def _run_engine(proxes, shape, config, residual_fn):
@@ -258,8 +279,8 @@ def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False, fl
     """
     y = np.asarray(y, dtype=np.float64)
     flags = set() if flags is None else flags
-    ball_prox, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
-    proxes = [prior_prox, ball_prox]
+    _, _, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
+    proxes = [prior_prox, lambda S, w: ball_project(S)]
     if simplex:
         proxes.append(lambda S, w: simplex_project_rows(S))
 
@@ -267,25 +288,11 @@ def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False, fl
         return float(np.linalg.norm(y - L.forward(S)))
 
     s, trace, converged, diverged = _run_engine(proxes, shape, config, residual)
-    raw = residual(s)
     s_cert = ball_project(s)
     if simplex:
         s_cert = simplex_project_rows(s_cert)
-    res_cert = residual(s_cert)
-    # an iterate can stall (change below rel_tol) without being feasible,
-    # e.g. on an unreachable measurement ball; only certified points count
-    converged = bool(converged and res_cert <= epsilon + 1e-6 * np.linalg.norm(y))
-    return s_cert, SolveResult(
-        s_hat=None,
-        theta_hat=None,
-        iterations=len(trace),
-        residual=res_cert,
-        raw_residual=raw,
-        converged=converged,
-        diverged=diverged,
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    return s_cert, _certified_result(L, y, epsilon, s_cert, trace, converged, diverged,
+                                     flags, raw_residual=residual(s))
 
 
 def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> SolveResult:
@@ -328,15 +335,21 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
                  step_monitor=None) -> SolveResult:
     """Recover disjoint sources by constrained iterative hard thresholding.
 
-    Each iteration applies, in order: (1) a gradient step on the residual
-    with step ``gamma``; (2) global hard thresholding to the ``k`` largest
-    wavelet coefficients; (3) a procrustes-style orthogonalization that
-    makes the coefficient Gram matrix diagonal while preserving per-source
-    energy ratios; (4) the row-simplex projection in the image domain.
+    The iterate is the image ``S`` (from 0) with its residual
+    ``r = y - L(S)``. Each iteration applies, in order: (1) a gradient step
+    ``theta = W(S + gamma L^T r)`` to the wavelet coefficients; (2) global
+    hard thresholding to the ``k`` largest; (3) a procrustes-style
+    orthogonalization that makes the coefficient Gram matrix diagonal while
+    preserving per-source energy ratios; (4) ``S = simplex(W^T theta)``, the
+    row-simplex projection in the image domain. The new residual feeds the
+    trace and the next step. ``gamma`` defaults to ``1/||L||^2`` (``W`` is
+    orthonormal) from ``_ball_machinery``, an estimated norm inflated by
+    ``_IHT_NORM_MARGIN``.
 
     ``step_monitor(iteration, step, theta)``, when given, is called after
     each of the four steps with the current coefficient matrix (read-only
-    introspection; used by contract tests).
+    introspection; used by contract tests); step 4's is ``theta = W S``,
+    formed only for the monitor.
 
     Raises ``ValueError`` unless ``config.iht_k`` is set and at least
     ``rho``. A source column zeroed by thresholding keeps a zero scale in
@@ -348,36 +361,24 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         raise ValueError("sparsity budget below the source count")
     k = config.iht_k
     y = problem.measurements.y
+    epsilon = problem.measurements.epsilon
     wav = problem.wavelet
     L = SourceSpaceMap(problem.operator, problem.effective_mixing)
     n1 = problem.operator.n1
     shape = (n1, problem.rho)
+    flags: set[str] = set()
     gamma = config.gamma_step
     if gamma is None:
-        # the wavelets are orthonormal, so ||L W^T|| = ||L||
-        svd = _core_svd(L)
-        if L.nu is not None:
-            norm_sq = L.nu
-        elif svd is not None:
-            norm_sq = svd[1][0] ** 2
-        else:
-            norm_sq = (_IHT_NORM_MARGIN * operator_norm(L, shape, config.power_iters)) ** 2
-        gamma = 1.0 / norm_sq
+        norm_sq, exact, _ = _ball_machinery(L, y, epsilon, config, shape, flags)
+        gamma = 1.0 / (norm_sq if exact else _IHT_NORM_MARGIN**2 * norm_sq)
+    notify = step_monitor if step_monitor is not None else (lambda it, step, theta: None)
 
-    def residual(theta):
-        return y - L.forward(wav.inverse_cols(theta))
-
-    def notify(iteration, step, theta):
-        if step_monitor is not None:
-            step_monitor(iteration, step, theta)
-
-    theta = np.zeros(shape)
-    flags: set[str] = set()
+    S = np.zeros(shape)
+    r = y  # the residual of S = 0
     trace = []
     converged = diverged = False
     for it in range(1, config.max_iters + 1):
-        prev = theta
-        theta = theta + gamma * wav.forward_cols(L.adjoint(residual(theta)))
+        theta = wav.forward_cols(S + gamma * L.adjoint(r))
         notify(it, 1, theta)
         theta = hard_threshold_topk(theta.ravel(order="F"), k).reshape(shape, order="F")
         notify(it, 2, theta)
@@ -386,7 +387,6 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
             # squared norms overflow before the iterate itself goes non-finite,
             # and nan scaling would crash the svd; bail out as diverged
             diverged = True
-            theta = prev
             break
         if fro > 0.0:
             col_norms = np.linalg.norm(theta, axis=0)
@@ -398,33 +398,21 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         else:
             flags.add("zero-matrix")
         notify(it, 3, theta)
-        theta = wav.forward_cols(simplex_project_rows(wav.inverse_cols(theta)))
-        notify(it, 4, theta)
-        if not np.all(np.isfinite(theta)):
+        S_new = simplex_project_rows(wav.inverse_cols(theta))
+        if step_monitor is not None:
+            step_monitor(it, 4, wav.forward_cols(S_new))
+        if not np.all(np.isfinite(S_new)):
             diverged = True
-            theta = prev
             break
-        change = np.linalg.norm(theta - prev) / max(np.linalg.norm(prev), 1.0)
-        trace.append((float(np.linalg.norm(residual(theta))), change))
+        change = np.linalg.norm(S_new - S) / max(np.linalg.norm(S), 1.0)
+        S = S_new
+        r = y - L.forward(S)
+        trace.append((float(np.linalg.norm(r)), change))
         if change < config.rel_tol:
             converged = True
             break
-    s_hat = wav.inverse_cols(theta)
-    res = float(np.linalg.norm(y - L.forward(s_hat)))
-    # as in ppxa_solve: a stalled iterate off the measurement ball has not converged
-    eps = problem.measurements.epsilon
-    converged = bool(converged and res <= eps + 1e-6 * np.linalg.norm(y))
-    return SolveResult(
-        s_hat=s_hat,
-        theta_hat=theta,
-        iterations=len(trace),
-        residual=res,
-        raw_residual=res,
-        converged=converged,
-        diverged=diverged,
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    result = _certified_result(L, y, epsilon, S, trace, converged, diverged, flags)
+    return dataclasses.replace(result, s_hat=S, theta_hat=wav.forward_cols(S))
 
 
 def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float,

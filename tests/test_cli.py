@@ -156,8 +156,9 @@ def test_recover_rejects_malformed_config(scene_dir, tmp_path):
     ]) == 2
 
 
-def test_recover_rejects_unknown_solver_field(scene_dir, tmp_path):
-    config = write_json(tmp_path / "solver.json", {"momentum": 0.9})
+@pytest.mark.parametrize("fields", [{"momentum": 0.9}, {"power_iters": 0}])
+def test_recover_rejects_bad_solver_fields(scene_dir, tmp_path, fields):
+    config = write_json(tmp_path / "solver.json", fields)
     assert main([
         "recover", "--measurements", str(scene_dir / "measurements.f64"),
         "--method", "ppxa-tv", "--config", config, "--out", str(tmp_path),

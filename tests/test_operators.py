@@ -128,6 +128,13 @@ def test_operator_norm_against_svd():
     assert est == pytest.approx(top, rel=1e-6)
 
 
+def test_operator_norm_needs_an_iteration():
+    # zero iterations would return 1.0 whatever the map
+    core = make_core_operator("gaussian", 6, 12, seed=14)
+    with pytest.raises(ValueError):
+        operator_norm(core, (12,), iters=0)
+
+
 # --- sampling schemes -------------------------------------------------------
 
 

@@ -527,6 +527,45 @@ def test_svd_ball_matches_kkt_oracle_and_is_optimal(kind, n1, m_frac, rho, seed,
         assert np.sum((S - P) * (X - P)) <= 1e-9 * scale
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    regime=st.sampled_from(["zero", "infeasible"]),
+    frac=st.floats(0.05, 0.95),
+)
+def test_fb_ball_satisfies_the_variational_inequality(m, extra, seed, regime, frac):
+    # wide gaussian maps (n >= 2m) have full row rank and a moderate
+    # condition number, so the dual iteration converges well inside the cap
+    tol = 1e-12
+    n = 2 * m + extra
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n))
+    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
+    assume(sig[-1] >= 0.2 * sig[0])
+    s = rng.normal(size=n)
+    y = 2.0 * rng.normal(size=m)
+    s0, y0 = s.copy(), y.copy()
+    epsilon = 0.0 if regime == "zero" else frac * float(np.linalg.norm(y - A @ s))
+
+    P, converged = l2ball_project_fb(s, y, DenseOp(A), epsilon, max_iters=20000, tol=tol)
+    np.testing.assert_array_equal(s, s0)
+    np.testing.assert_array_equal(y, y0)
+    assert converged
+    assert np.linalg.norm(y - A @ P) <= epsilon + 1e-9 * (np.linalg.norm(y) + 1.0)
+    # <s - P, X - P> <= 0 over feasible X = A^+ (y - E) + (I - A^+ A) Z
+    # with ||E|| <= epsilon, as in the SVD projection's test
+    pinv = Vt.T @ (U.T / sig[:, None])
+    for _ in range(5):
+        E = rng.normal(size=m)
+        E *= epsilon * rng.uniform() / max(np.linalg.norm(E), 1e-300)
+        Z = rng.normal(size=n)
+        X = pinv @ (y - E) + Z - pinv @ (A @ Z)
+        scale = max(s @ s, P @ P, X @ X)
+        assert np.dot(s - P, X - P) <= tol * scale
+
+
 def test_prox_maps_are_nonexpansive():
     rng = np.random.default_rng(12)
     core = make_core_operator("random-convolution", 8, 16, seed=4)

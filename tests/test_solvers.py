@@ -175,7 +175,8 @@ def test_ppxa_certified_output_invariants(desk_scene):
     assert len(res.trace) == res.iterations
 
 
-def test_ppxa_infeasible_ball_reports_unconverged():
+@pytest.mark.parametrize("method", ["ppxa-tv", "iht"])
+def test_ppxa_infeasible_ball_reports_unconverged(method):
     scene = generate_scene(SceneSpec(4, 4, channels=3, rho=2, seed=13))
     op = make_sampling_operator(
         "decorrelating", RC, 16, 3, seed=14, m_hat=16, mixing=scene.mixing
@@ -184,7 +185,10 @@ def test_ppxa_infeasible_ball_reports_unconverged():
     y_bad = 1e3 * np.ones(op.m)
     mset = MeasurementSet(y_bad, 1e-6, 120.0, {})
     prob = RecoveryProblem(mset, op, Wavelet2D(4, 4), 2)
-    res = ppxa_solve(prob, SolverConfig(max_iters=150))
+    if method == "iht":
+        res = iht_ss_solve(prob, SolverConfig(max_iters=150, iht_k=8))
+    else:
+        res = ppxa_solve(prob, SolverConfig(max_iters=150))
     assert not res.converged and not res.diverged
     assert np.isfinite(res.residual) and res.residual > 1.0
     np.testing.assert_allclose(res.s_hat.sum(axis=1), 1.0, atol=1e-9)
@@ -277,6 +281,45 @@ def test_iht_step_contracts():
         S4 = wav.inverse_cols(t4)
         np.testing.assert_allclose(S4.sum(axis=1), 1.0, atol=1e-9)
         assert S4.min() > -1e-9
+
+
+class CountingWavelet(Wavelet2D):
+    """Wavelet2D that counts its analysis and synthesis calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = {"forward_cols": 0, "inverse_cols": 0}
+
+    def forward_cols(self, S):
+        self.calls["forward_cols"] += 1
+        return super().forward_cols(S)
+
+    def inverse_cols(self, theta):
+        self.calls["inverse_cols"] += 1
+        return super().inverse_cols(theta)
+
+
+def test_iht_iterates_on_the_image(det_scene):
+    # one analysis and one synthesis per iteration, plus the final
+    # theta_hat = W s_hat; the residual of each iterate is reused as the
+    # next gradient's
+    scene = det_scene
+    op = make_sampling_operator(
+        "decorrelating", RC, 64, 4, seed=18, m_hat=32, mixing=scene.mixing
+    )
+    y = op.forward(scene.cube.data)
+    wav = CountingWavelet(8, 8)
+    res = iht_ss_solve(RecoveryProblem(noiseless(y), op, wav, 2),
+                       SolverConfig(max_iters=10, iht_k=12, rel_tol=0.0))
+    assert res.iterations == 10
+    assert wav.calls == {"forward_cols": 11, "inverse_cols": 10}
+    # s_hat is the simplex projection itself, not a round trip through theta
+    assert np.all(res.s_hat >= 0.0)
+    np.testing.assert_allclose(simplex_project_rows(res.s_hat), res.s_hat,
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(res.theta_hat, Wavelet2D(8, 8).forward_cols(res.s_hat))
+    # the trace's last residual is the certified one
+    assert res.trace[-1][0] == res.residual == res.raw_residual
 
 
 def test_iht_default_step_is_safe_on_a_non_tight_map():
@@ -657,6 +700,7 @@ def test_solver_config_validation():
         dict(gamma_step=0.0),
         dict(tv_max_iters=0),
         dict(ball_max_iters=0),
+        dict(power_iters=0),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
