@@ -175,8 +175,7 @@ def test_ppxa_certified_output_invariants(desk_scene):
     assert len(res.trace) == res.iterations
 
 
-@pytest.mark.parametrize("method", ["ppxa-tv", "iht"])
-def test_ppxa_infeasible_ball_reports_unconverged(method):
+def _infeasible_ball_problem():
     scene = generate_scene(SceneSpec(4, 4, channels=3, rho=2, seed=13))
     op = make_sampling_operator(
         "decorrelating", RC, 16, 3, seed=14, m_hat=16, mixing=scene.mixing
@@ -184,14 +183,24 @@ def test_ppxa_infeasible_ball_reports_unconverged(method):
     # simplex rows bound ||L(S)||, so this target is unreachable at eps ~ 0
     y_bad = 1e3 * np.ones(op.m)
     mset = MeasurementSet(y_bad, 1e-6, 120.0, {})
-    prob = RecoveryProblem(mset, op, Wavelet2D(4, 4), 2)
-    if method == "iht":
-        res = iht_ss_solve(prob, SolverConfig(max_iters=150, iht_k=8))
-    else:
-        res = ppxa_solve(prob, SolverConfig(max_iters=150))
+    return RecoveryProblem(mset, op, Wavelet2D(4, 4), 2)
+
+
+def _assert_unconverged_on_infeasible_ball(res):
     assert not res.converged and not res.diverged
     assert np.isfinite(res.residual) and res.residual > 1.0
     np.testing.assert_allclose(res.s_hat.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_ppxa_infeasible_ball_reports_unconverged():
+    res = ppxa_solve(_infeasible_ball_problem(), SolverConfig(max_iters=150))
+    _assert_unconverged_on_infeasible_ball(res)
+
+
+def test_iht_infeasible_ball_reports_unconverged():
+    res = iht_ss_solve(_infeasible_ball_problem(),
+                       SolverConfig(max_iters=150, iht_k=8))
+    _assert_unconverged_on_infeasible_ball(res)
 
 
 def test_ppxa_flags_capped_ball_projection(det_scene):
