@@ -27,8 +27,6 @@ from .model import (
     SourceMatrix,
     ValidationReport,
     mix,
-    mixing_adjoint,
-    mixing_forward,
     normalize_mixing,
     validate_sources,
 )
@@ -115,8 +113,6 @@ __all__ = [
     "make_sampling_operator",
     "measurement_bound",
     "mix",
-    "mixing_adjoint",
-    "mixing_forward",
     "normalize_mixing",
     "operator_norm",
     "ppxa_solve",

@@ -36,6 +36,16 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _read_sidecar(path: str, layout: str | None = "pixel-major") -> dict:
+    """The sidecar of the raw array file ``path``, which must name the
+    encoding the readers decode: f64le, in ``layout`` (None: no layout, as
+    for a vector)."""
+    meta = _read_json(_sidecar(path))
+    if meta.get("dtype") != "f64le" or meta.get("layout") != layout:
+        raise ValueError(f"unsupported encoding in {_sidecar(path)}")
+    return meta
+
+
 def _encode_snr(snr_db: float) -> Any:
     return "inf" if math.isinf(snr_db) else float(snr_db)
 
@@ -54,9 +64,7 @@ def write_cube(cube: HsiCube, path: str) -> None:
 
 
 def read_cube(path: str) -> HsiCube:
-    meta = _read_json(_sidecar(path))
-    if meta.get("dtype") != "f64le" or meta.get("layout") != "pixel-major":
-        raise ValueError(f"unsupported cube encoding in {_sidecar(path)}")
+    meta = _read_sidecar(path)
     rows, cols, channels = meta["rows"], meta["cols"], meta["channels"]
     data = np.fromfile(path, dtype="<f8")
     if data.size != rows * cols * channels:
@@ -75,7 +83,7 @@ def write_sources(S, path: str) -> None:
 
 
 def read_sources(path: str) -> np.ndarray:
-    meta = _read_json(_sidecar(path))
+    meta = _read_sidecar(path)
     n1, rho = meta["pixels"], meta["sources"]
     data = np.fromfile(path, dtype="<f8")
     if data.size != n1 * rho:
@@ -132,7 +140,7 @@ def write_measurements(mset: MeasurementSet, path: str) -> None:
 
 
 def read_measurements(path: str) -> MeasurementSet:
-    meta = _read_json(_sidecar(path))
+    meta = _read_sidecar(path, layout=None)
     y = np.fromfile(path, dtype="<f8")
     if y.size != meta["m"]:
         raise ValueError(f"{path}: expected {meta['m']} values, got {y.size}")

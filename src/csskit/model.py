@@ -205,35 +205,6 @@ def mix(S: SourceMatrix, H: MixingMatrix, shape: tuple[int, int] | None = None) 
     return HsiCube(rows, cols, H.n2, S.data @ H.data.T)
 
 
-def mixing_forward(s_vec: NDArrayF, H: MixingMatrix) -> NDArrayF:
-    """Apply the block mixing map ``H (x) Id`` to a stacked source vector.
-
-    Equivalent to ``vec(unvec(s_vec) @ H.T)``; the Kronecker product is never
-    materialized.
-    """
-    s_vec = np.asarray(s_vec, dtype=np.float64)
-    if s_vec.ndim != 1 or s_vec.size % H.rho != 0:
-        raise ValueError(f"stacked source vector incompatible with rho={H.rho}")
-    n1 = s_vec.size // H.rho
-    S = s_vec.reshape(n1, H.rho, order="F")
-    return (S @ H.data.T).ravel(order="F")
-
-
-def mixing_adjoint(X: NDArrayF, H: MixingMatrix) -> NDArrayF:
-    """Adjoint of :func:`mixing_forward`; returns an ``(n1, rho)`` matrix.
-
-    Accepts ``X`` as an ``(n1, n2)`` matrix or its pixel-major vector.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        if X.size % H.n2 != 0:
-            raise ValueError(f"stacked data vector incompatible with n2={H.n2}")
-        X = X.reshape(X.size // H.n2, H.n2, order="F")
-    if X.shape[1] != H.n2:
-        raise ValueError(f"data has {X.shape[1]} channels, H has {H.n2}")
-    return X @ H.data
-
-
 def normalize_mixing(H: MixingMatrix | NDArrayF) -> tuple[MixingMatrix, MixingDiagnostics]:
     """Rescale ``H`` by ``(sigma_max + sigma_min) / 2`` and report conditioning.
 

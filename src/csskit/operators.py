@@ -1,19 +1,24 @@
 """Matrix-free sampling operators for the three acquisition schemes.
 
-Schemes, acting on a cube ``X`` of shape ``(n1, n2)`` with vectorization
-``ravel(order="F")``:
+Every map acts on a matrix ``X`` (a cube ``(n1, n2)`` or sources
+``(n1, rho)``), vectorized by ``ravel(order="F")``. All six share one
+shape: the ``m_hat x n1`` core ``A`` on the pixels and a right factor
+``B`` on the columns (None: the identity), ``vec(A X B^T) = (B (x) A)
+vec(X)``; only the dense scheme is one matrix ``M`` on ``vec(X)``:
 
-- ``dense``: one unstructured operator on the stacked vector, ``y = A X_vec``.
-  Materialized explicitly at desk scale (baseline only).
-- ``uniform``: the same core operator ``A_core`` (shape ``m_hat x n1``) on
-  every channel, ``Y = A_core @ X``, transmitted as ``vec(Y)``.
-- ``decorrelating``: pseudo-inverse mixing composed with the core, so the
-  measurements of ``X = S @ H.T`` reduce to per-source core samples:
-  ``vec(A_core @ X @ pinv(H).T) = vec(A_core @ S)``. The mixing matrix drops
-  out of the recovery problem entirely.
+| map | form |
+| --- | --- |
+| uniform cube | ``A``, ``B = None`` |
+| decorrelating cube | ``A``, ``B = pinv(H)`` |
+| decorrelating source | ``A``, ``B = None`` |
+| uniform source | ``A``, ``B = H`` |
+| dense cube | ``M``, the ``m x n1*n2`` core's array |
+| dense source | ``M = A (H (x) I_n1)``, folded once |
 
-All operators are pure deterministic functions of ``(kind, dims, seed)`` and
-immutable after construction; ``forward``/``adjoint`` are re-entrant.
+The decorrelating cube map samples ``X = S H^T`` as ``vec(A S)``: the
+mixing drops out of the recovery problem. All operators are pure
+deterministic functions of ``(kind, dims, seed)`` and immutable after
+construction; ``forward``/``adjoint`` are re-entrant.
 """
 
 from __future__ import annotations
@@ -160,13 +165,69 @@ def operator_norm(op, input_shape, iters: int = 50, seed: int = 0) -> float:
     return math.sqrt(lam)
 
 
-class SamplingOperator:
-    """Scheme-tagged acquisition map from a cube to a measurement vector.
+class _KronMap:
+    """One linear map on ``shape_in`` matrices: ``X -> vec(A X B^T) =
+    (B (x) A) vec(X)``, with ``A`` the core and ``B`` a right factor on the
+    columns (None: the identity), or ``X -> M vec(X)`` for one matrix ``M``.
 
-    Use :func:`make_sampling_operator` to construct. ``forward`` consumes an
-    ``(n1, n2)`` cube matrix and emits the measurement vector in
-    pixel-major order; ``adjoint`` is its exact transpose. Sources reach the
-    measurements through :class:`SourceSpaceMap`.
+    The core acts on the narrower side of ``B``: mix first when ``B`` has
+    fewer rows than columns, core first otherwise. ``nu`` is the core's
+    tight-frame constant when the map is the core itself, else None.
+    ``forward`` takes a ``shape_in`` matrix and ``adjoint`` an ``(m,)``
+    vector; both reject any other shape.
+    """
+
+    def __init__(self, core: CoreOperator, shape_in: tuple[int, int], B=None, M=None,
+                 nu: float | None = None):
+        self.core = core
+        self.B = B
+        self.M = M
+        self.shape_in = shape_in
+        self.nu = nu
+        if M is not None:
+            self.m = M.shape[0]
+        else:
+            self.m = core.m_hat * (shape_in[1] if B is None else B.shape[0])
+        self._mix_first = B is not None and B.shape[0] < B.shape[1]
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape != self.shape_in:
+            raise ValueError(f"expected an {self.shape_in} matrix, got {X.shape}")
+        if self.M is not None:
+            return self.M @ X.ravel(order="F")
+        if self._mix_first:
+            return self.core.forward(X @ self.B.T).ravel(order="F")
+        Y = self.core.forward(X)
+        return (Y if self.B is None else Y @ self.B.T).ravel(order="F")
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (self.m,):
+            raise ValueError(f"expected a measurement vector of length {self.m}")
+        if self.M is not None:
+            return (self.M.T @ y).reshape(self.shape_in, order="F")
+        Y = y.reshape(self.core.m_hat, -1, order="F")
+        if self._mix_first:
+            return self.core.adjoint(Y) @ self.B
+        return self.core.adjoint(Y if self.B is None else Y @ self.B)
+
+    def y_as_matrix(self, y: np.ndarray) -> np.ndarray:
+        """Unstack a measurement vector into its ``(m_hat, columns)`` matrix."""
+        if self.M is not None:
+            raise ValueError("dense measurements have no matrix layout")
+        return np.asarray(y, dtype=np.float64).reshape(self.core.m_hat, -1, order="F")
+
+
+class SamplingOperator(_KronMap):
+    """Scheme-tagged acquisition map from an ``(n1, n2)`` cube to a
+    measurement vector in pixel-major order.
+
+    Use :func:`make_sampling_operator` to construct. uniform: the core on
+    every channel; decorrelating: ``B = pinv(H)``; dense: ``M`` is a
+    gaussian or bernoulli core's own array (a materialized matrix for
+    random convolution). Sources reach the measurements through
+    :class:`SourceSpaceMap`.
     """
 
     def __init__(self, scheme: str, core: CoreOperator, n1: int, n2: int,
@@ -183,64 +244,24 @@ class SamplingOperator:
         if mixing is not None and mixing.n2 != n2:
             raise ValueError(f"mixing has {mixing.n2} channels, cube has {n2}")
         self.scheme = scheme
-        self.core = core
         self.n1 = int(n1)
         self.n2 = int(n2)
         self.mixing = mixing
-        self._dense_mat = None
+        shape_in = (self.n1, self.n2)
         if scheme == "dense":
-            # a gaussian or bernoulli core's own array, not a copy of it
-            self._dense_mat = (core.as_matrix() if core.kind == "random-convolution"
-                               else core._mat)
-
-    @property
-    def rho(self) -> int | None:
-        return None if self.mixing is None else self.mixing.rho
-
-    @property
-    def m(self) -> int:
-        if self.scheme == "dense":
-            return self.core.m_hat
-        if self.scheme == "uniform":
-            return self.core.m_hat * self.n2
-        return self.core.m_hat * self.mixing.rho
-
-    @property
-    def nu(self) -> float | None:
-        """Tight-frame constant of the cube-space map, if any."""
-        if self.scheme in ("dense", "uniform"):
-            return self.core.nu
-        return None  # pinv(H) spoils tightness in cube space
+            M = core.as_matrix() if core.kind == "random-convolution" else core._mat
+            super().__init__(core, shape_in, M=M, nu=core.nu)
+        elif scheme == "uniform":
+            super().__init__(core, shape_in, nu=core.nu)
+        else:  # pinv(H) spoils tightness in cube space
+            super().__init__(core, shape_in, B=mixing.pinv)
 
     def forward(self, arr: np.ndarray, space: str = "data") -> np.ndarray:
         # "data" (the cube) is the only space; the keyword stays for callers
         # that still pass it
         if space != "data":
             raise ValueError("a sampling operator maps cubes only (space='data')")
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != (self.n1, self.n2):
-            raise ValueError(f"expected an ({self.n1}, {self.n2}) cube matrix")
-        if self.scheme == "dense":
-            return self._dense_mat @ arr.ravel(order="F")
-        if self.scheme == "decorrelating":
-            arr = arr @ self.mixing.pinv.T
-        return self.core.forward(arr).ravel(order="F")
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.m,):
-            raise ValueError(f"expected measurement vector of length {self.m}")
-        if self.scheme == "dense":
-            return (self._dense_mat.T @ y).reshape(self.n1, self.n2, order="F")
-        back = self.core.adjoint(self.y_as_matrix(y))
-        return back if self.scheme == "uniform" else back @ self.mixing.pinv
-
-    def y_as_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Unstack a measurement vector into its ``(m_hat, channels)`` matrix."""
-        if self.scheme == "dense":
-            raise ValueError("dense measurements have no matrix layout")
-        cols = self.n2 if self.scheme == "uniform" else self.mixing.rho
-        return np.asarray(y, dtype=np.float64).reshape(self.core.m_hat, cols, order="F")
+        return super().forward(arr)
 
 
 def make_sampling_operator(scheme: str, kind: str, n1: int, n2: int, seed: int,
@@ -259,18 +280,16 @@ def make_sampling_operator(scheme: str, kind: str, n1: int, n2: int, seed: int,
     return SamplingOperator(scheme, core, n1, n2, mixing=mixing)
 
 
-class SourceSpaceMap:
-    """The solver-facing linear map from sources ``S`` to measurements.
+class SourceSpaceMap(_KronMap):
+    """The solver-facing linear map from ``(n1, rho)`` sources ``S`` to the
+    measurements of ``op``, which would sample the cube ``S H^T``.
 
-    decorrelating: block application of the core to each source column,
-    ``I_rho (x) A`` (tight frame whenever the core is). uniform: ``H (x) A``,
-    evaluated as ``(A S) H^T`` with adjoint ``A^T (Y H)``, so the core acts on
-    ``rho`` columns rather than ``n2``. dense: ``S -> A vec(S H^T) =
-    A (H (x) I_n1) vec(S)``, with the mixing folded into the matrix once per
-    map: ``A_fold = A (H (x) I_n1)`` is ``m x n1*rho`` where ``A`` is
-    ``m x n1*n2``, so each forward or adjoint does ``rho/n2`` of the cube
-    map's work. ``A_fold`` is built from the ``(m, n2, n1)`` view of ``A``
-    by one batched product with ``H^T``, without copying ``A``.
+    decorrelating: the core alone, ``I_rho (x) A`` (a tight frame whenever
+    the core is). uniform: ``B = H``, so the core acts on ``rho`` columns
+    rather than ``n2``. dense: ``M = A (H (x) I_n1)``, of shape
+    ``m x n1*rho`` where ``A`` is ``m x n1*n2``, folded once per map from
+    the ``(m, n2, n1)`` view of ``A`` by one batched product with ``H^T``,
+    so each forward or adjoint does ``rho/n2`` of the cube map's work.
     """
 
     def __init__(self, op: SamplingOperator, mixing: MixingMatrix | None = None):
@@ -279,36 +298,16 @@ class SourceSpaceMap:
             raise ValueError("source-space map requires a mixing matrix")
         self.op = op
         self.mixing = mixing
-        self.shape_in = (op.n1, mixing.rho)
-        self.m = op.m
-        self._folded = None
+        shape_in = (op.n1, mixing.rho)
         if op.scheme == "dense":
-            # A_fold[:, i + n1*r] = sum_j A[:, i + n1*j] H[j, r]
-            A = op._dense_mat.reshape(op.m, op.n2, op.n1)
-            self._folded = np.matmul(mixing.data.T, A).reshape(op.m, -1)
-
-    @property
-    def nu(self) -> float | None:
-        if self.op.scheme == "decorrelating":
-            return self.op.core.nu
-        return None
-
-    def forward(self, S: np.ndarray) -> np.ndarray:
-        S = np.asarray(S, dtype=np.float64)
-        if self.op.scheme == "decorrelating":
-            return self.op.core.forward(S).ravel(order="F")
-        if self.op.scheme == "uniform":
-            return (self.op.core.forward(S) @ self.mixing.data.T).ravel(order="F")
-        if S.shape != self.shape_in:
-            raise ValueError(f"expected an {self.shape_in} source matrix")
-        return self._folded @ S.ravel(order="F")
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        if self.op.scheme == "decorrelating":
-            return self.op.core.adjoint(self.op.y_as_matrix(y))
-        if self.op.scheme == "uniform":
-            return self.op.core.adjoint(self.op.y_as_matrix(y) @ self.mixing.data)
-        return (self._folded.T @ y).reshape(self.shape_in, order="F")
+            # M[:, i + n1*r] = sum_j A[:, i + n1*j] H[j, r]
+            A = op.M.reshape(op.m, op.n2, op.n1)
+            M = np.matmul(mixing.data.T, A).reshape(op.m, -1)
+            super().__init__(op.core, shape_in, M=M)
+        elif op.scheme == "uniform":
+            super().__init__(op.core, shape_in, B=mixing.data)
+        else:
+            super().__init__(op.core, shape_in, nu=op.core.nu)
 
 
 @dataclass(frozen=True)

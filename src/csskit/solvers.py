@@ -45,8 +45,8 @@ class SolverConfig:
 
     beta is the proximal weight of the splitting; gamma_step overrides the
     hard-thresholding step size (default 1/||L||^2 for the source map L:
-    exact for tight frames and for decorrelating non-tight cores, whose SVD
-    gives ||L|| = sigma_max(A); else with the power-iteration norm estimate
+    exact for tight frames and for maps I (x) A on non-tight cores, whose
+    SVD gives ||L|| = sigma_max(A); else with the power-iteration norm estimate
     inflated by 10 % so the step stays below the bound); iht_k is the
     sparsity budget of the hard-thresholding solver; power_iters >= 1 runs
     that norm estimate, which also sets the iterative ball projection's step.
@@ -148,27 +148,29 @@ class SolveResult:
 
 
 def _core_svd(L):
-    """Thin SVD ``(U, sig, Vt)`` of the core ``A`` of a decorrelating source
-    map ``I_rho (x) A`` that is not a tight frame, or None: for any other
-    map, and for a numerically rank-deficient core, whose affine set may be
-    empty and whose SVD solve would divide by ~0."""
-    if not isinstance(L, SourceSpaceMap) or L.op.scheme != "decorrelating" or L.nu is not None:
+    """Thin SVD ``(U, sig, Vt)`` of the core ``A`` of a map ``I (x) A`` (an
+    identity right factor and no matrix of its own) that is not a tight
+    frame, or None: for any other map, a map without a core among them, and
+    for a numerically rank-deficient core, whose affine set may be empty
+    and whose SVD solve would divide by ~0."""
+    if (getattr(L, "core", None) is None or L.B is not None or L.M is not None
+            or L.nu is not None):
         return None
-    A = L.op.core.as_matrix()
+    A = L.core.as_matrix()
     U, sig, Vt = np.linalg.svd(A, full_matrices=False)
     if sig[-1] <= sig[0] * max(A.shape) * np.finfo(np.float64).eps:
         return None
     return U, sig, Vt
 
 
-def _ball_machinery(L, y, epsilon, config, shape, flags):
+def _ball_machinery(L, y, epsilon, config, flags):
     """Return ``(norm_sq, exact, project)``: ``||L||^2``, whether that value
     is exact, and the projection onto the ball ``||y - L(S)|| <= epsilon``.
 
-    Tight frames get ``nu`` and the exact closed form, and a decorrelating
-    source map on a full-rank non-tight core ``sigma_max(A)^2`` and the
-    exact projection from the core's SVD. Everything else (the uniform and
-    dense maps on non-tight cores) gets a power-iteration estimate, a lower
+    Tight frames get ``nu`` and the exact closed form, and a map ``I (x) A``
+    on a full-rank non-tight core ``sigma_max(A)^2`` and the exact
+    projection from the core's SVD. Everything else (a map with a mixing
+    factor or a matrix of its own) gets a power-iteration estimate, a lower
     bound, and the iterative dual forward-backward projection with that
     estimate. A projection that stops at ``config.ball_max_iters`` adds
     ``"ball-projection-capped"`` to the ``flags`` set.
@@ -177,9 +179,9 @@ def _ball_machinery(L, y, epsilon, config, shape, flags):
     if L.nu is not None:
         return L.nu, True, lambda S: l2ball_project_tightframe(S, y, L, epsilon, L.nu)
     if svd is not None:
-        Y = L.op.y_as_matrix(y)
-        return svd[1][0] ** 2, True, lambda S: l2ball_project_svd(S, Y, L.op.core, epsilon, svd)
-    norm_est = operator_norm(L, shape, iters=config.power_iters)
+        Y = L.y_as_matrix(y)
+        return svd[1][0] ** 2, True, lambda S: l2ball_project_svd(S, Y, L.core, epsilon, svd)
+    norm_est = operator_norm(L, L.shape_in, iters=config.power_iters)
 
     def project(S):
         out, converged = l2ball_project_fb(
@@ -267,9 +269,10 @@ def _l1_wavelet_prox(wav):
     return prox
 
 
-def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False, flags=None):
+def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=None):
     """Minimize the prior over the measurement ball of L (and, with
-    ``simplex``, the row simplex) by the proximal engine.
+    ``simplex``, the row simplex) by the proximal engine, on ``L.shape_in``
+    matrices.
 
     The final average is certified by one ball projection followed by one
     simplex projection. ``flags`` is the set the prior's prox reports into,
@@ -279,7 +282,7 @@ def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False, fl
     """
     y = np.asarray(y, dtype=np.float64)
     flags = set() if flags is None else flags
-    _, _, ball_project = _ball_machinery(L, y, epsilon, config, shape, flags)
+    _, _, ball_project = _ball_machinery(L, y, epsilon, config, flags)
     proxes = [prior_prox, lambda S, w: ball_project(S)]
     if simplex:
         proxes.append(lambda S, w: simplex_project_rows(S))
@@ -287,7 +290,7 @@ def _splitting_solve(L, y, epsilon, config, shape, prior_prox, simplex=False, fl
     def residual(S):
         return float(np.linalg.norm(y - L.forward(S)))
 
-    s, trace, converged, diverged = _run_engine(proxes, shape, config, residual)
+    s, trace, converged, diverged = _run_engine(proxes, L.shape_in, config, residual)
     s_cert = ball_project(s)
     if simplex:
         s_cert = simplex_project_rows(s_cert)
@@ -325,9 +328,8 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
 
     s_hat, result = _splitting_solve(
         SourceSpaceMap(problem.operator, problem.effective_mixing),
-        problem.measurements.y, problem.measurements.epsilon, config,
-        (problem.operator.n1, problem.rho), prior_prox, simplex=problem.constraints,
-        flags=flags)
+        problem.measurements.y, problem.measurements.epsilon, config, prior_prox,
+        simplex=problem.constraints, flags=flags)
     return dataclasses.replace(result, s_hat=s_hat)
 
 
@@ -364,12 +366,11 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     epsilon = problem.measurements.epsilon
     wav = problem.wavelet
     L = SourceSpaceMap(problem.operator, problem.effective_mixing)
-    n1 = problem.operator.n1
-    shape = (n1, problem.rho)
+    shape = L.shape_in
     flags: set[str] = set()
     gamma = config.gamma_step
     if gamma is None:
-        norm_sq, exact, _ = _ball_machinery(L, y, epsilon, config, shape, flags)
+        norm_sq, exact, _ = _ball_machinery(L, y, epsilon, config, flags)
         gamma = 1.0 / (norm_sq if exact else _IHT_NORM_MARGIN**2 * norm_sq)
     notify = step_monitor if step_monitor is not None else (lambda it, step, theta: None)
 
@@ -392,7 +393,7 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
             col_norms = np.linalg.norm(theta, axis=0)
             if np.any(col_norms == 0.0):
                 flags.add("zero-column")
-            omega = math.sqrt(n1) * col_norms / fro
+            omega = math.sqrt(shape[0]) * col_norms / fro
             U, _, Vt = np.linalg.svd(theta * omega[None, :], full_matrices=False)
             theta = (U @ Vt) * omega[None, :]
         else:
@@ -428,8 +429,7 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
         raise ValueError("cube baselines need dense or uniform measurements")
     config = config if config is not None else SolverConfig()
     # a dense or uniform operator maps the cube straight to data space
-    x, result = _splitting_solve(operator, y, epsilon, config, (operator.n1, operator.n2),
-                                 _l1_wavelet_prox(wavelet))
+    x, result = _splitting_solve(operator, y, epsilon, config, _l1_wavelet_prox(wavelet))
     cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, x)
     return cube, dataclasses.replace(result, theta_hat=wavelet.forward_cols(x))
 
@@ -449,7 +449,7 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
         raise ValueError("spatial shape does not factor the pixel count")
     config = config if config is not None else SolverConfig()
     flags: set[str] = set()
-    x, result = _splitting_solve(operator, y, epsilon, config, (operator.n1, operator.n2),
+    x, result = _splitting_solve(operator, y, epsilon, config,
                                  _tv_columns_prox(rows, cols, operator.n2, config, flags),
                                  flags=flags)
     return HsiCube(rows, cols, operator.n2, x), result
@@ -473,7 +473,7 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
     """
     config = config if config is not None else SolverConfig()
     s_hat, result = _splitting_solve(SourceSpaceMap(operator, H), y, epsilon, config,
-                                     (operator.n1, H.rho), _l1_wavelet_prox(wavelet))
+                                     _l1_wavelet_prox(wavelet))
     return dataclasses.replace(result, s_hat=s_hat, theta_hat=wavelet.forward_cols(s_hat))
 
 

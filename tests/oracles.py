@@ -111,6 +111,7 @@ class SynthesisMap:
 
     def __init__(self, inner, wavelet):
         self.inner, self.wavelet, self.nu = inner, wavelet, inner.nu
+        self.shape_in = inner.shape_in
 
     def forward(self, theta):
         return self.inner.forward(self.wavelet.inverse_cols(theta))
@@ -119,9 +120,8 @@ class SynthesisMap:
         return self.wavelet.forward_cols(self.inner.adjoint(y))
 
 
-def synthesis_l1_solve(L, wavelet, y, epsilon, config, shape):
+def synthesis_l1_solve(L, wavelet, y, epsilon, config):
     """Reference: ``min ||theta||_1 s.t. ||y - L W^T theta|| <= epsilon`` by
     the splitting engine iterating on the coefficients ``theta``. Returns
     the certified ``theta`` and its ``SolveResult``."""
-    return _splitting_solve(SynthesisMap(L, wavelet), y, epsilon, config, shape,
-                            soft_threshold)
+    return _splitting_solve(SynthesisMap(L, wavelet), y, epsilon, config, soft_threshold)

@@ -72,6 +72,26 @@ def test_cube_rejects_foreign_encoding(tmp_path, scene):
         read_cube(path)
 
 
+@pytest.mark.parametrize("kind", ["cube", "sources", "measurements"])
+def test_arrays_reject_a_foreign_dtype(tmp_path, scene, kind):
+    # a sidecar that says f32le must not be read as f64
+    path = str(tmp_path / "array.f64")
+    if kind == "cube":
+        write_cube(scene.cube, path)
+        read = read_cube
+    elif kind == "sources":
+        write_sources(scene.sources, path)
+        read = read_sources
+    else:
+        write_measurements(MeasurementSet(np.ones(6), 0.0, np.inf, {}), path)
+        read = read_measurements
+    meta = json.loads((tmp_path / "array.f64.json").read_text())
+    meta["dtype"] = "f32le"
+    (tmp_path / "array.f64.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="encoding"):
+        read(path)
+
+
 def test_sources_round_trip(tmp_path, scene):
     path = str(tmp_path / "sources.f64")
     write_sources(scene.sources, path)

@@ -7,8 +7,6 @@ from csskit.model import (
     RankDeficient,
     SourceMatrix,
     mix,
-    mixing_adjoint,
-    mixing_forward,
     normalize_mixing,
     validate_sources,
 )
@@ -81,46 +79,6 @@ def test_mix_shape_validation():
     with pytest.raises(ValueError):
         mix(S, H, shape=(2, 2))
     assert mix(S, H).rows == 6  # default (n1, 1)
-
-
-def test_mixing_forward_matches_kron_oracle():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        n1, n2, rho = 5, 4, 2
-        H = random_mixing(rng, n2, rho)
-        s_vec = rng.normal(size=n1 * rho)
-        dense = np.kron(H.data, np.eye(n1))
-        np.testing.assert_allclose(
-            mixing_forward(s_vec, H), dense @ s_vec, rtol=1e-12, atol=1e-12)
-
-
-def test_mix_and_mixing_forward_agree():
-    rng = np.random.default_rng(2)
-    S = SourceMatrix(np.array([[0.3, 0.7], [0.9, 0.1], [0.0, 1.0], [0.25, 0.75]]))
-    H = random_mixing(rng, 5, 2)
-    cube = mix(S, H, shape=(4, 1))
-    np.testing.assert_allclose(
-        cube.vec(), mixing_forward(S.vec(), H), rtol=1e-12)
-
-
-def test_mixing_adjoint_is_true_adjoint():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n1, n2, rho = 7, 4, 3
-        H = random_mixing(rng, n2, rho)
-        s = rng.normal(size=n1 * rho)
-        X = rng.normal(size=(n1, n2))
-        lhs = float(mixing_forward(s, H) @ X.ravel(order="F"))
-        rhs = float(s @ mixing_adjoint(X, H).ravel(order="F"))
-        assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(s) * np.linalg.norm(X) + 1)
-
-
-def test_mixing_adjoint_accepts_vector_input():
-    rng = np.random.default_rng(4)
-    H = random_mixing(rng, 4, 2)
-    X = rng.normal(size=(6, 4))
-    np.testing.assert_array_equal(
-        mixing_adjoint(X, H), mixing_adjoint(X.ravel(order="F"), H))
 
 
 def test_normalize_orthonormal_columns():

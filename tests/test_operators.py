@@ -180,20 +180,6 @@ def test_decorrelation_identity_matches_kron_oracle():
     np.testing.assert_allclose(op.forward(S @ H.data.T), rhs, atol=1e-10)
 
 
-@pytest.mark.parametrize("scheme", ["dense", "uniform", "decorrelating"])
-def test_adjoint_dot_product(scheme):
-    rng = np.random.default_rng(19)
-    H = random_mixing(rng, 4, 2)
-    kwargs = {"m": 20} if scheme == "dense" else {"m_hat": 5}
-    op = make_sampling_operator(scheme, "gaussian", 16, 4, seed=4, mixing=H, **kwargs)
-    for _ in range(5):
-        X = rng.normal(size=(16, 4))
-        y = rng.normal(size=op.m)
-        lhs = float(op.forward(X) @ y)
-        rhs = float(np.sum(X * op.adjoint(y)))
-        assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(X) * np.linalg.norm(y) + 1)
-
-
 def test_sampling_operator_maps_cubes_only():
     rng = np.random.default_rng(20)
     H = random_mixing(rng, 2, 2)  # n2 == rho: a cube and a source matrix look alike
@@ -233,9 +219,11 @@ def test_source_space_map_matches_composition():
 
 
 @st.composite
-def source_maps(draw, schemes=("dense", "uniform", "decorrelating")):
-    """A SourceSpaceMap on a random scheme, core kind and shape (the pixel
-    count a power of two, as random-convolution cores need), with a seed."""
+def source_maps(draw, schemes=("dense", "uniform", "decorrelating"),
+                spaces=("cube", "sources")):
+    """A cube map (the SamplingOperator itself) or a SourceSpaceMap on a
+    random scheme, core kind and shape (the pixel count a power of two, as
+    random-convolution cores need), with a seed."""
     scheme = draw(st.sampled_from(schemes))
     kind = draw(st.sampled_from(["gaussian", "bernoulli", RC]))
     n1 = 2 ** draw(st.integers(2, 6))
@@ -248,22 +236,29 @@ def source_maps(draw, schemes=("dense", "uniform", "decorrelating")):
     else:
         sizes = {"m_hat": draw(st.integers(1, n1))}
     op = make_sampling_operator(scheme, kind, n1, n2, seed=seed, mixing=H, **sizes)
-    return SourceSpaceMap(op, H), seed
+    return (op if draw(st.sampled_from(spaces)) == "cube" else SourceSpaceMap(op, H)), seed
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=source_maps())
-def test_source_maps_are_adjoint(case):
-    L, seed = case
+@pytest.mark.parametrize("scheme", ["dense", "uniform", "decorrelating"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_adjoint_dot_product(scheme, data):
+    # the six maps: each scheme's cube map and source map
+    L, seed = data.draw(source_maps(schemes=(scheme,)))
     rng = np.random.default_rng(seed + 1)
     S = rng.normal(size=L.shape_in)
     y = rng.normal(size=L.m)
     scale = np.linalg.norm(S) * np.linalg.norm(y) + 1.0
     assert abs(float(L.forward(S) @ y) - float(np.sum(S * L.adjoint(y)))) <= 1e-12 * scale
+    # any other input shape is refused, not sampled
+    with pytest.raises(ValueError):
+        L.forward(rng.normal(size=(L.shape_in[0], L.shape_in[1] + 1)))
+    with pytest.raises(ValueError):
+        L.adjoint(rng.normal(size=L.m + 1))
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=source_maps(schemes=("uniform",)))
+@given(case=source_maps(schemes=("uniform",), spaces=("sources",)))
 def test_uniform_source_map_matches_the_cube_path(case):
     L, seed = case
     S = np.random.default_rng(seed + 2).normal(size=L.shape_in)
@@ -273,7 +268,7 @@ def test_uniform_source_map_matches_the_cube_path(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=source_maps(schemes=("dense",)))
+@given(case=source_maps(schemes=("dense",), spaces=("sources",)))
 def test_dense_source_map_folds_the_mixing_into_the_matrix(case):
     L, seed = case
     rng = np.random.default_rng(seed + 3)
@@ -292,10 +287,10 @@ def test_dense_source_map_folds_the_mixing_into_the_matrix(case):
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
 def test_dense_operator_shares_its_core_matrix(kind):
     op = make_sampling_operator("dense", kind, 16, 4, seed=8, m=20)
-    assert np.shares_memory(op._dense_mat, op.core._mat)
+    assert np.shares_memory(op.M, op.core._mat)
     H = random_mixing(np.random.default_rng(9), 4, 2)
     # the folded source map is the one new matrix, m x n1*rho
-    assert SourceSpaceMap(op, H)._folded.shape == (20, 32)
+    assert SourceSpaceMap(op, H).M.shape == (20, 32)
 
 
 # --- decorrelation post-processing ------------------------------------------

@@ -608,18 +608,28 @@ def test_l1_ss_two_sparse_per_source_exact_recovery():
     assert res.converged
 
 
-def test_l1_ss_exact_ball_projection_on_a_decorrelating_non_tight_core():
-    # a full-rank gaussian core gets the exact SVD projection, not the
-    # capped iterative one
+def _exact_ball_projection_case(scheme):
+    # a full-rank gaussian core on a map I (x) A gets the exact SVD
+    # projection, not the capped iterative one
     scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=1))
     op = make_sampling_operator(
-        "decorrelating", "gaussian", 256, 8, seed=2, m_hat=128, mixing=scene.mixing
+        scheme, "gaussian", 256, 8, seed=2, m_hat=128, mixing=scene.mixing
     )
-    y = op.forward(scene.cube.data)
-    res = l1_ss_synthesis_solve(
-        y, op, scene.mixing, Wavelet2D(16, 16), 0.0,
-        SolverConfig(beta=0.5, max_iters=10, rel_tol=0.0),
-    )
+    cfg = SolverConfig(beta=0.5, max_iters=10, rel_tol=0.0)
+    return scene, op, op.forward(scene.cube.data), cfg
+
+
+def test_l1_ss_exact_ball_projection_on_a_decorrelating_non_tight_core():
+    scene, op, y, cfg = _exact_ball_projection_case("decorrelating")
+    res = l1_ss_synthesis_solve(y, op, scene.mixing, Wavelet2D(16, 16), 0.0, cfg)
+    assert res.flags == ()
+    assert res.residual <= 1e-9 * np.linalg.norm(y)
+
+
+def test_bpdn_exact_ball_projection_on_a_uniform_non_tight_core():
+    # the uniform cube map is I_n2 (x) A: the same exact projection
+    _, op, y, cfg = _exact_ball_projection_case("uniform")
+    _, res = bpdn_solve(y, op, Wavelet2D(16, 16), 0.0, cfg)
     assert res.flags == ()
     assert res.residual <= 1e-9 * np.linalg.norm(y)
 
@@ -628,7 +638,10 @@ def test_l1_ss_exact_ball_projection_on_a_decorrelating_non_tight_core():
 def test_l1_solves_match_the_synthesis_form_on_a_non_tight_map(det_scene, scheme):
     # with orthonormal wavelets, min ||W S||_1 over the ball of L solved on
     # the image is min ||theta||_1 over the ball of L W^T solved on the
-    # coefficients; on a gaussian core both run the FB ball projection
+    # coefficients. The composed map L W^T always runs the FB ball
+    # projection, and so do both source maps and the dense cube map on a
+    # gaussian core; bpdn on the uniform cube map I (x) A projects exactly,
+    # and FB's tight ball_tol brings the oracle within the tolerance of it
     scene = det_scene
     sizes = {"m": 64} if scheme == "dense" else {"m_hat": 16}
     op = make_sampling_operator(scheme, "gaussian", 64, 4, seed=21,
@@ -639,11 +652,11 @@ def test_l1_solves_match_the_synthesis_form_on_a_non_tight_map(det_scene, scheme
                        ball_tol=1e-10)
     res = l1_ss_synthesis_solve(mset.y, op, scene.mixing, wav, mset.epsilon, cfg)
     theta, ref = synthesis_l1_solve(SourceSpaceMap(op, scene.mixing), wav, mset.y,
-                                    mset.epsilon, cfg, (64, 2))
+                                    mset.epsilon, cfg)
     assert res.flags == ref.flags
     assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9 * np.max(np.abs(theta))
     _, res = bpdn_solve(mset.y, op, wav, mset.epsilon, cfg)
-    theta, _ = synthesis_l1_solve(op, wav, mset.y, mset.epsilon, cfg, (64, 4))
+    theta, _ = synthesis_l1_solve(op, wav, mset.y, mset.epsilon, cfg)
     assert res.flags == ()
     assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9 * np.max(np.abs(theta))
 
