@@ -53,6 +53,11 @@ class CoreOperator:
     drawn uniformly without replacement. The random-convolution core is a
     tight frame: forward(adjoint(y)) = (n1/m_hat) * y exactly.
 
+    Since sigma is conjugate-symmetric, only its half spectrum
+    ``sigma[:n1//2 + 1]`` is stored, with its conjugate for the adjoint,
+    and the convolution runs on real FFTs:
+    ``irfft(sigma[:n1//2 + 1] * rfft(x), n1)``.
+
     ``forward``/``adjoint`` accept vectors of length ``n1``/``m_hat`` or
     matrices with that many rows (columns mapped independently).
     """
@@ -74,18 +79,18 @@ class CoreOperator:
         else:
             if not _is_pow2(n1):
                 raise ValueError("random-convolution needs n1 a power of two")
-            sigma = np.empty(n1, dtype=np.complex128)
             half = n1 // 2
+            sigma = np.empty(half + 1, dtype=np.complex128)
             if half >= 1:
                 theta = rng.uniform(0.0, 2.0 * np.pi, size=max(half - 1, 0))
                 signs = 2.0 * rng.integers(0, 2, size=2) - 1.0
                 sigma[0] = signs[0]
                 sigma[half] = signs[1]
                 sigma[1:half] = np.exp(1j * theta)
-                sigma[half + 1 :] = np.conj(sigma[1:half][::-1])
             else:
                 sigma[0] = 2.0 * rng.integers(0, 2) - 1.0
-            self._sigma = sigma
+            self._spec = sigma
+            self._spec_conj = np.conj(sigma)
             self._omega = rng.choice(n1, size=m_hat, replace=False)
             self._scale = math.sqrt(n1 / m_hat)
 
@@ -102,9 +107,7 @@ class CoreOperator:
             raise ValueError(f"expected {self.n1} rows, got {x.shape[0]}")
         if self.kind != "random-convolution":
             return self._mat @ x
-        spec = self._sigma if x.ndim == 1 else self._sigma[:, None]
-        conv = np.fft.ifft(spec * np.fft.fft(x, axis=0), axis=0).real
-        return self._scale * conv[self._omega]
+        return self._scale * self._convolve(x, self._spec)[self._omega]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -114,15 +117,19 @@ class CoreOperator:
             return self._mat.T @ y
         z = np.zeros((self.n1,) + y.shape[1:], dtype=np.float64)
         z[self._omega] = y
-        spec = np.conj(self._sigma) if y.ndim == 1 else np.conj(self._sigma)[:, None]
-        return self._scale * np.fft.ifft(spec * np.fft.fft(z, axis=0), axis=0).real
+        return self._scale * self._convolve(z, self._spec_conj)
+
+    def _convolve(self, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
+        # circular convolution along axis 0 with the filter of half spectrum spec
+        spec = spec if x.ndim == 1 else spec[:, None]
+        return np.fft.irfft(spec * np.fft.rfft(x, axis=0), self.n1, axis=0)
 
     def as_matrix(self) -> np.ndarray:
         """Dense ``m_hat x n1`` realization (oracles and the dense scheme)."""
         if self.kind != "random-convolution":
             return self._mat.copy()
         # circulant with first column ifft(sigma), restricted to sampled rows
-        c = np.fft.ifft(self._sigma).real
+        c = np.fft.irfft(self._spec, self.n1)
         idx = (self._omega[:, None] - np.arange(self.n1)[None, :]) % self.n1
         return self._scale * c[idx]
 

@@ -28,19 +28,30 @@ def soft_threshold(v, alpha):
 def hard_threshold_topk(v, k):
     """Keep the k largest-magnitude entries, zero the rest.
 
-    Ties break toward the lowest flat index (C order for nd input).
+    Ties break toward the lowest flat index (C order for nd input), and NaN
+    ranks below every number: the first k of a stable descending sort of
+    ``|v|``, found by one partition. The result is C-ordered.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.size
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape)
     if k == 0:
         return out
     flat = v.ravel()
-    # stable sort on (-|v|, index): equal magnitudes keep ascending index order
-    order = np.argsort(-np.abs(flat), kind="stable")[:k]
-    out.ravel()[order] = flat[order]
+    # ascending -|v| is descending magnitude, NaN last; cut is its k-th entry
+    neg = -np.abs(flat)
+    cut = np.partition(neg, k - 1)[k - 1]
+    if np.isnan(cut):  # fewer than k numbers: all of them, then the first NaNs
+        keep = ~np.isnan(neg)
+        tied = ~keep
+    else:
+        keep = neg < cut
+        tied = neg == cut
+    # the remaining slots go to the entries tied at the cut, lowest index first
+    keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
+    out.ravel()[keep] = flat[keep]
     return out
 
 

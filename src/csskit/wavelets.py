@@ -7,9 +7,13 @@ even-lag autocorrelations, which vanish for orthonormal filters).
 
 Transforms are batched: one level loop runs over a ``(rows, cols, q)`` stack
 of images, the stack axis trailing, so a C-ordered ``(n1, q)`` matrix of
-column images is transformed in place of a per-column loop. Every output is
-summed in the same tap order as the one-image transform, so batching does
-not change a bit of the result.
+column images is transformed in place of a per-column loop. Both filters
+run as one stacked pair ``F = [h; g]``: each tap multiplies one shifted
+slice by the column ``F[:, k]``, so an analysis level is one pass along the
+rows and one along the columns of its result, and one assignment writes the
+four quadrants back. Every output is still summed in the same tap order as
+the one-filter, one-image transform, so neither the stacking nor the
+batching changes a bit of the result.
 
 Coefficient layout is the usual nested-quadrant arrangement: the coarsest
 approximation sits in the top-left corner, detail bands fill the remaining
@@ -51,9 +55,9 @@ def _qmf(h: np.ndarray) -> np.ndarray:
     return g
 
 
-def _along(axis: int, sl: slice) -> tuple:
-    # index of a (rows, cols, q) stack: ``sl`` on ``axis``, everything elsewhere
-    return (slice(None),) * axis + (sl,)
+def _along(axis: int, index) -> tuple:
+    # index of a stack: ``index`` on ``axis``, everything elsewhere
+    return (slice(None),) * axis + (index,)
 
 
 def _periodic(a: np.ndarray, start: int, stop: int, axis: int) -> np.ndarray:
@@ -64,54 +68,53 @@ def _periodic(a: np.ndarray, start: int, stop: int, axis: int) -> np.ndarray:
     return np.take(a, np.arange(start, stop) % n, axis=axis)
 
 
-def _analyze(a: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int):
-    """Periodic convolution with ``h`` and with ``g`` along ``axis``, even
-    phases only: output ``i`` is ``sum_k filt[k] * a[(2i + k) mod n]``, the
-    terms added in tap order. Returns ``(lowpass, highpass)``."""
-    n = a.shape[axis]
-    ext = _periodic(a, 0, n + h.size - 2, axis)
-    for k in range(h.size):
-        t = ext[_along(axis, slice(k, k + n - 1, 2))]
-        if k == 0:
-            lo, hi = h[0] * t, g[0] * t
-        else:
-            lo += h[k] * t
-            hi += g[k] * t
-    return lo, hi
+def _analyze(a: np.ndarray, taps: tuple, axis: int) -> np.ndarray:
+    """Periodic convolution with both filters of the stacked pair ``F = [h; g]``
+    along ``axis``, even phases only: band ``b``'s output ``i`` is
+    ``sum_k F[b, k] * a[(2i + k) mod n]``, the terms added in tap order.
 
-
-def _synthesize(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
-                axis: int) -> np.ndarray:
-    """Transpose of :func:`_analyze`: ``lo`` upsampled by 2 along ``axis``
-    and periodically correlated with ``h``, plus the same of ``hi`` with ``g``.
-
-    Output ``2i + p`` of one filter is ``sum_k filt[k] * c[i - (k - p) / 2]``
-    over the taps ``k`` of parity ``p``, added in tap order. The other taps
-    meet the inserted zeros and add only signed zeros. For an orthonormal
-    pair one of them, in ``h`` or ``g``, is positive (``h`` sums to sqrt(2)
-    and alternates to 0), so they include a ``+0``; ``+ 0.0`` reproduces
-    its one effect, turning a ``-0`` sum into ``+0``.
+    ``taps[k]`` is the column ``F[:, k]``, shaped so that it broadcasts over
+    a new band axis inserted before ``axis``; the result has shape
+    ``a.shape[:axis] + (2, n // 2) + a.shape[axis + 1:]``.
     """
-    n = lo.shape[axis]
-    pad = h.size // 2 - 1
-    ext_lo = _periodic(lo, -pad, n, axis)
-    ext_hi = _periodic(hi, -pad, n, axis)
-    shape = list(lo.shape)
-    shape[axis] = 2 * n
-    out = np.empty(shape)
-    for p in (0, 1):
-        for k in range(p, h.size, 2):
-            m = pad - (k - p) // 2
-            sl = _along(axis, slice(m, m + n))
-            if k == p:
-                acc_lo, acc_hi = h[k] * ext_lo[sl], g[k] * ext_hi[sl]
-            else:
-                acc_lo += h[k] * ext_lo[sl]
-                acc_hi += g[k] * ext_hi[sl]
-        acc_lo += acc_hi
-        acc_lo += 0.0
-        out[_along(axis, slice(p, None, 2))] = acc_lo
-    return out
+    n = a.shape[axis]
+    ext = _periodic(a, 0, n + len(taps) - 2, axis)[_along(axis, None)]
+    for k, f in enumerate(taps):
+        t = ext[_along(axis + 1, slice(k, k + n - 1, 2))]
+        if k == 0:
+            acc = f * t
+        else:
+            acc += f * t
+    return acc
+
+
+def _synthesize(c: np.ndarray, taps: tuple, axis: int) -> np.ndarray:
+    """Transpose of :func:`_analyze`: the two bands of ``c``, stacked on
+    ``axis - 1``, upsampled by 2 along ``axis`` and periodically correlated
+    with ``h`` and ``g``, then summed lowpass first.
+
+    Output ``2i + p`` of one band is ``sum_j F[b, 2j + p] * c[i - j]`` (index
+    mod n), added in tap order; both phases read the same shifted slice at
+    each ``j``, so ``taps[j]`` holds ``F[b, 2j + p]`` over (band, phase),
+    shaped to broadcast over a new phase axis after ``axis``. The taps of the
+    other parity meet the inserted zeros and add only signed zeros. For an
+    orthonormal pair one of them, in ``h`` or ``g``, is positive (``h`` sums
+    to sqrt(2) and alternates to 0), so they include a ``+0``; ``+ 0.0``
+    reproduces its one effect, turning a ``-0`` sum into ``+0``.
+    """
+    n = c.shape[axis]
+    pad = len(taps) - 1
+    ext = _periodic(c, -pad, n, axis)[_along(axis + 1, None)]
+    for j, f in enumerate(taps):
+        t = ext[_along(axis, slice(pad - j, pad - j + n))]
+        if j == 0:
+            acc = f * t
+        else:
+            acc += f * t
+    out = acc[_along(axis - 1, 0)] + acc[_along(axis - 1, 1)]
+    out += 0.0
+    # (..., n, phase, ...) interleaves the phases along one axis of 2n
+    return out.reshape(out.shape[:axis - 1] + (2 * n,) + out.shape[axis + 1:])
 
 
 class Wavelet2D:
@@ -120,7 +123,9 @@ class Wavelet2D:
     Every transform runs one level loop over a ``(rows, cols, q)`` stack of
     images, so ``forward_cols``/``inverse_cols`` transform all ``q`` columns
     of an ``(n1, q)`` matrix at once, with the same bytes as one image at a
-    time.
+    time. A level is one stacked-filter pass per axis: analysis filters the
+    rows, then the columns of both row bands; synthesis filters the columns
+    of both row halves, then the rows.
 
     Parameters
     ----------
@@ -151,6 +156,18 @@ class Wavelet2D:
         self.levels = int(levels)
         self._h = _SCALING[family]
         self._g = _qmf(self._h)
+        # per tap, the filter values shaped to broadcast over the stacks each
+        # pass makes: analysis F[:, k] over the band axis, making (2, r/2, c, q)
+        # along the rows and (2, r/2, 2, c/2, q) along the columns; synthesis
+        # G[j] = F[b, 2j + p] over (band, 1, phase), making (2, r, 2, c, 2, q)
+        # along the columns and (2, r, 2, 2c, q) along the rows
+        F = np.stack([self._h, self._g])
+        K = F.shape[1]
+        self._analysis_rows = tuple(F.T.reshape(K, 2, 1, 1, 1))
+        self._analysis_cols = tuple(F.T.reshape(K, 2, 1, 1))
+        G = F.reshape(2, K // 2, 2).transpose(1, 0, 2)
+        self._synthesis_cols = tuple(G.reshape(K // 2, 2, 1, 2, 1))
+        self._synthesis_rows = tuple(G.reshape(K // 2, 2, 1, 2, 1, 1))
 
     @property
     def n1(self) -> int:
@@ -161,28 +178,22 @@ class Wavelet2D:
         out = stack.copy()
         r, c = self.rows, self.cols
         for _ in range(self.levels):
-            lo, hi = _analyze(out[:r, :c], self._h, self._g, axis=0)
-            ll, lh = _analyze(lo, self._h, self._g, axis=1)
-            hl, hh = _analyze(hi, self._h, self._g, axis=1)
-            r2, c2 = r // 2, c // 2
-            out[:r2, :c2] = ll
-            out[:r2, c2:c] = lh
-            out[r2:r, :c2] = hl
-            out[r2:r, c2:c] = hh
-            r, c = r2, c2
+            bands = _analyze(out[:r, :c], self._analysis_rows, axis=0)
+            # (row band, r/2, column band, c/2, q) is the quadrant layout
+            out[:r, :c] = _analyze(bands, self._analysis_cols, axis=2).reshape(r, c, -1)
+            r, c = r // 2, c // 2
         return out
 
     def _synthesis(self, stack: np.ndarray) -> np.ndarray:
         # exact transpose of _analysis, level by level from the coarsest
         out = stack.copy()
-        h, g = self._h, self._g
         scale = 2**self.levels
         r, c = self.rows // scale, self.cols // scale
         for _ in range(self.levels):
             r2, c2 = 2 * r, 2 * c
-            lo = _synthesize(out[:r, :c], out[:r, c:c2], h, g, axis=1)
-            hi = _synthesize(out[r:r2, :c], out[r:r2, c:c2], h, g, axis=1)
-            out[:r2, :c2] = _synthesize(lo, hi, h, g, axis=0)
+            quadrants = out[:r2, :c2].reshape(2, r, 2, c, -1)
+            halves = _synthesize(quadrants, self._synthesis_cols, axis=3)
+            out[:r2, :c2] = _synthesize(halves, self._synthesis_rows, axis=1)
             r, c = r2, c2
         return out
 

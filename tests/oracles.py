@@ -43,6 +43,17 @@ def kkt_ball_projection(A, s, y, epsilon):
     return u_of(lam)
 
 
+def reference_hard_threshold_topk(v, k):
+    """Top-k by a full stable sort on ``-|v|``: equal magnitudes keep
+    ascending flat index order and NaN sorts last. C-ordered output."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(v.shape)
+    flat = v.ravel()
+    order = np.argsort(-np.abs(flat), kind="stable")[:k]
+    out.ravel()[order] = flat[order]
+    return out
+
+
 def reference_tv_prox(image, lam, max_iters, tol, dual=None):
     """The one-image Chambolle loop, allocating afresh in every iteration.
 

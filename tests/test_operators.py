@@ -112,6 +112,30 @@ def test_rc_tight_frame_constant(m_hat, n1):
     assert nu == pytest.approx(n1 / m_hat, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(log_n1=st.integers(0, 10), data=st.data())
+def test_rc_core_matches_its_matrix_and_is_a_tight_frame(log_n1, data):
+    n1 = 2**log_n1
+    m_hat = data.draw(st.integers(1, n1))
+    q = data.draw(st.integers(1, 4))
+    core = make_core_operator(RC, m_hat, n1, seed=data.draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A, nu = core.as_matrix(), core.nu
+    # rows of a unitary circulant, scaled: A A^T = nu * I for the matrix too
+    np.testing.assert_allclose(A @ A.T, nu * np.eye(m_hat), rtol=0, atol=1e-12 * nu)
+    for x in (rng.normal(size=n1), rng.normal(size=(n1, q))):
+        got = core.forward(x)
+        assert got.shape == (m_hat,) + x.shape[1:]
+        np.testing.assert_allclose(got, A @ x, rtol=0, atol=1e-12 * np.sqrt(nu) * np.linalg.norm(x))
+    for y in (rng.normal(size=m_hat), rng.normal(size=(m_hat, q))):
+        got = core.adjoint(y)
+        assert got.shape == (n1,) + y.shape[1:]
+        np.testing.assert_allclose(got, A.T @ y, rtol=0, atol=1e-12 * np.sqrt(nu) * np.linalg.norm(y))
+        np.testing.assert_allclose(core.forward(got), nu * y, rtol=0,
+                                   atol=1e-12 * nu * np.linalg.norm(y))
+    assert verify_tight_frame(core, tol=1e-12) == nu
+
+
 def test_verify_tight_frame_rejects_gaussian():
     with pytest.raises(NotTightFrame):
         verify_tight_frame(make_core_operator("gaussian", 8, 16, seed=12))

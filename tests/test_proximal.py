@@ -16,7 +16,7 @@ from csskit.proximal import (
     tv_norm,
     tv_prox,
 )
-from oracles import kkt_ball_projection, reference_tv_prox
+from oracles import kkt_ball_projection, reference_hard_threshold_topk, reference_tv_prox
 
 
 class DenseOp:
@@ -83,6 +83,22 @@ def test_hard_threshold_breaks_ties_toward_the_lowest_flat_index(v, data):
     for i in np.flatnonzero(kept):
         for j in np.flatnonzero(~kept):
             assert mags[i] > mags[j] or (mags[i] == mags[j] and i < j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 7)),
+             elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, np.nan])),
+    order=st.sampled_from(["C", "F"]),
+)
+def test_hard_threshold_matches_the_stable_sort(v, order):
+    # heavy ties, signed zeros, inf and NaN; every k from 0 to n
+    v = np.array(v, order=order)
+    for k in range(v.size + 1):
+        got = hard_threshold_topk(v, k)
+        want = reference_hard_threshold_topk(v, k)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tv_norm_oracle():

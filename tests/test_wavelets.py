@@ -182,7 +182,8 @@ def column_stacks(draw):
     """A wavelet and an (n1, q) matrix, often strided or Fortran-ordered,
     with exact +0 and -0 entries mixed in (they exercise signed-zero sums)."""
     family = draw(st.sampled_from(FAMILIES))
-    rows, cols = draw(st.sampled_from([(4, 4), (8, 8), (16, 16), (8, 4), (16, 4), (4, 16), (2, 8)]))
+    rows, cols = draw(st.sampled_from([(4, 4), (8, 8), (16, 16), (8, 4), (16, 4), (4, 16), (2, 8),
+                                        (32, 32), (64, 16)]))
     levels = draw(st.integers(1, int(np.log2(min(rows, cols)))))
     q = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
