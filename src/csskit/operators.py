@@ -18,13 +18,15 @@ vec(X)``; only the dense scheme is one matrix ``M`` on ``vec(X)``:
 The decorrelating cube map samples ``X = S H^T`` as ``vec(A S)``: the
 mixing drops out of the recovery problem. All operators are pure
 deterministic functions of ``(kind, dims, seed)`` and immutable after
-construction; ``forward``/``adjoint`` are re-entrant.
+construction (a core's Gram matrix ``A A^T`` is cached on first use);
+``forward``/``adjoint``/``gram`` are re-entrant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -119,6 +121,21 @@ class CoreOperator:
         z[self._omega] = y
         return self._scale * self._convolve(z, self._spec_conj)
 
+    def gram(self, y: np.ndarray) -> np.ndarray:
+        """``A A^T y``: ``nu * y`` on the random-convolution core (no FFT),
+        else the ``m_hat x m_hat`` Gram matrix, formed on first use, times
+        ``y``."""
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape[0] != self.m_hat:
+            raise ValueError(f"expected {self.m_hat} rows, got {y.shape[0]}")
+        if self.kind == "random-convolution":
+            return self.nu * y
+        return self._gram @ y
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return self._mat @ self._mat.T
+
     def _convolve(self, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
         # circular convolution along axis 0 with the filter of half spectrum spec
         spec = spec if x.ndim == 1 else spec[:, None]
@@ -182,6 +199,16 @@ class _KronMap:
     tight-frame constant when the map is the core itself, else None.
     ``forward`` takes a ``shape_in`` matrix and ``adjoint`` an ``(m,)``
     vector; both reject any other shape.
+
+    ``gram`` applies ``L L^T`` to an ``(m,)`` vector on the same factors,
+    ``(A A^T) Y (B B^T)`` on the ``(m_hat, columns)`` matrix ``Y`` of the
+    vector, in place of a ``forward`` of the ``adjoint``: the core's Gram
+    is ``nu * I`` on a random-convolution core (no FFT) and the
+    ``m_hat x m_hat`` matrix ``A A^T`` otherwise. Like the core, it acts on
+    the narrower side of ``B``: on ``Y`` followed by the ``rows x rows``
+    product ``B B^T``, kept from construction, when mixing first, else on
+    ``Y B`` followed by ``B^T``. The dense map applies ``M (M^T v)``;
+    ``M M^T`` is never formed.
     """
 
     def __init__(self, core: CoreOperator, shape_in: tuple[int, int], B=None, M=None,
@@ -196,6 +223,7 @@ class _KronMap:
         else:
             self.m = core.m_hat * (shape_in[1] if B is None else B.shape[0])
         self._mix_first = B is not None and B.shape[0] < B.shape[1]
+        self._BBt = B @ B.T if self._mix_first else None
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -218,6 +246,24 @@ class _KronMap:
         if self._mix_first:
             return self.core.adjoint(Y) @ self.B
         return self.core.adjoint(Y if self.B is None else Y @ self.B)
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """``L L^T v`` for an ``(m,)`` vector, on the map's factors."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.m,):
+            raise ValueError(f"expected a measurement vector of length {self.m}")
+        if self.M is not None:
+            return self.M @ (self.M.T @ v)
+        # v is vec(Y) in column order, so this view is Y^T; the result is
+        # formed transposed as well, whose C order reads as vec
+        Yt = v.reshape(-1, self.core.m_hat)
+        if self._mix_first:
+            out = self._BBt @ self.core.gram(Yt.T).T
+        elif self.B is None:
+            out = self.core.gram(Yt.T).T
+        else:
+            out = self.B @ self.core.gram(Yt.T @ self.B).T
+        return out.ravel()
 
     def y_as_matrix(self, y: np.ndarray) -> np.ndarray:
         """Unstack a measurement vector into its ``(m_hat, columns)`` matrix."""

@@ -311,32 +311,54 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     iteration estimate falls short of ||op|| (by up to 3.3 % at 50
     iterations on gaussian and bernoulli cores), which keeps the product
     near 1, far from that bound.
+
+    The loop lives in measurement space. The primal iterate
+    ``u = s - op^T v`` enters each step only through ``op(u) = b - G v``,
+    with ``b = op(s)`` formed once and ``G = op op^T`` applied once per
+    step: ``op.gram`` when the operator has one, else ``op(op^T v)``. The
+    iterates are those of the primal form ``w = v/sigma + op(u)`` in exact
+    arithmetic, and ``||G|| = ||op||^2``, so the step bound above holds
+    as it stands. The stop test ``||u_k - u_{k-1}|| < tol *
+    max(||u_{k-1}||, 1)`` reads ``||u_k - u_{k-1}||^2 =
+    <v_k - v_{k-1}, G v_k - G v_{k-1}>`` and ``||u||^2 = ||s||^2 -
+    2 <v, b> + <v, G v>``, both floored at 0 since cancellation can round
+    them below it. One ``adjoint`` at the end returns ``s - op^T v``.
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    r0 = y - op.forward(s)
-    if np.linalg.norm(r0) <= epsilon * (1.0 + 1e-9) + 1e-15:
+    b = op.forward(s)
+    if np.linalg.norm(y - b) <= epsilon * (1.0 + 1e-9) + 1e-15:
         return s.copy(), True
     if op_norm is None:
         from .operators import operator_norm
 
         op_norm = operator_norm(op, s.shape)
+    gram = getattr(op, "gram", None)
+    if gram is None:
+        def gram(v):
+            return op.forward(op.adjoint(v))
     sigma = 1.0 / max(op_norm**2, 1e-30)
+    ss = float(np.vdot(s, s))
+    c = b - y
     v = np.zeros_like(y)
-    u_prev = None
+    Gv = np.zeros_like(y)  # G applied to v = 0
+    prev = None
     converged = False
-    for _ in range(int(max_iters)):
-        u = s - op.adjoint(v)
-        w = v / sigma + op.forward(u)
-        # projection of w onto the epsilon-ball around y
-        d = w - y
-        dn = np.linalg.norm(d)
-        proj = y + d * (epsilon / dn) if dn > epsilon else w
-        v = sigma * (w - proj)
-        if u_prev is not None and np.linalg.norm(u - u_prev) / max(
-            np.linalg.norm(u_prev), 1.0
-        ) < tol:
-            converged = True
+    for k in range(int(max_iters)):
+        if k:
+            Gv = gram(v)
+        # d = w - y for w = v/sigma + op(u); w minus its projection onto the
+        # epsilon-ball around y is d * (1 - epsilon/||d||)_+
+        d = v / sigma
+        d += c - Gv
+        dn = math.sqrt(np.vdot(d, d))
+        uu = max(ss - 2.0 * float(np.vdot(v, b)) + float(np.vdot(v, Gv)), 0.0)
+        if prev is not None:
+            v_prev, Gv_prev, uu_prev = prev
+            du = max(float(np.vdot(v - v_prev, Gv - Gv_prev)), 0.0)
+            converged = math.sqrt(du) / max(math.sqrt(uu_prev), 1.0) < tol
+        prev = v, Gv, uu
+        v = d * (sigma * (1.0 - epsilon / dn)) if dn > epsilon else np.zeros_like(y)
+        if converged:
             break
-        u_prev = u
     return s - op.adjoint(v), converged

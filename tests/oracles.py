@@ -3,6 +3,7 @@
 import numpy as np
 from scipy.optimize import brentq
 
+from csskit.operators import operator_norm
 from csskit.proximal import TV_DUAL_STEP, soft_threshold
 from csskit.solvers import _splitting_solve
 
@@ -114,6 +115,39 @@ def reference_tv_prox(image, lam, max_iters, tol, dual=None):
     if lam * tv(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv(image):
         return image.copy(), iters, np.zeros((2,) + image.shape)
     return u, iters, np.stack([px, py])
+
+
+def reference_l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
+    """The dual forward-backward ball projection in its primal form: each
+    step forms ``u = s - op^T v`` and ``op(u)``, one ``adjoint`` and one
+    ``forward``, and the stop test measures ``||u_k - u_{k-1}||`` directly.
+    Returns ``(projection, converged)``."""
+    s = np.asarray(s, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    r0 = y - op.forward(s)
+    if np.linalg.norm(r0) <= epsilon * (1.0 + 1e-9) + 1e-15:
+        return s.copy(), True
+    if op_norm is None:
+        op_norm = operator_norm(op, s.shape)
+    sigma = 1.0 / max(op_norm**2, 1e-30)
+    v = np.zeros_like(y)
+    u_prev = None
+    converged = False
+    for _ in range(int(max_iters)):
+        u = s - op.adjoint(v)
+        w = v / sigma + op.forward(u)
+        # projection of w onto the epsilon-ball around y
+        d = w - y
+        dn = np.linalg.norm(d)
+        proj = y + d * (epsilon / dn) if dn > epsilon else w
+        v = sigma * (w - proj)
+        if u_prev is not None and np.linalg.norm(u - u_prev) / max(
+            np.linalg.norm(u_prev), 1.0
+        ) < tol:
+            converged = True
+            break
+        u_prev = u
+    return s - op.adjoint(v), converged
 
 
 class SynthesisMap:

@@ -244,12 +244,12 @@ def test_source_space_map_matches_composition():
 
 @st.composite
 def source_maps(draw, schemes=("dense", "uniform", "decorrelating"),
-                spaces=("cube", "sources")):
+                spaces=("cube", "sources"), kinds=("gaussian", "bernoulli", RC)):
     """A cube map (the SamplingOperator itself) or a SourceSpaceMap on a
     random scheme, core kind and shape (the pixel count a power of two, as
     random-convolution cores need), with a seed."""
     scheme = draw(st.sampled_from(schemes))
-    kind = draw(st.sampled_from(["gaussian", "bernoulli", RC]))
+    kind = draw(st.sampled_from(kinds))
     n1 = 2 ** draw(st.integers(2, 6))
     rho = draw(st.integers(1, 3))
     n2 = 2 ** draw(st.integers(max(rho - 1, 0), 3))
@@ -279,6 +279,44 @@ def test_adjoint_dot_product(scheme, data):
         L.forward(rng.normal(size=(L.shape_in[0], L.shape_in[1] + 1)))
     with pytest.raises(ValueError):
         L.adjoint(rng.normal(size=L.m + 1))
+
+
+def _check_gram(L, rng):
+    # gram(v) is forward(adjoint(v)) on the map's factors, and L L^T is
+    # positive semidefinite
+    v = rng.normal(size=L.m)
+    want = L.forward(L.adjoint(v))
+    got = L.gram(v)
+    assert got.shape == (L.m,)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert float(v @ got) >= 0.0
+    with pytest.raises(ValueError):
+        L.gram(rng.normal(size=L.m + 1))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", RC])
+@pytest.mark.parametrize("space", ["cube", "sources"])
+@pytest.mark.parametrize("scheme", ["dense", "uniform", "decorrelating"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gram_is_forward_of_adjoint(scheme, space, kind, data):
+    L, seed = data.draw(source_maps(schemes=(scheme,), spaces=(space,), kinds=(kind,)))
+    _check_gram(L, np.random.default_rng(seed + 4))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", RC])
+@pytest.mark.parametrize("scheme,space,n2,rho", [
+    ("uniform", "sources", 3, 3),  # n2 = rho: H square
+    ("decorrelating", "cube", 5, 2),  # B = pinv(H) is 2 x 5: mix first
+    ("decorrelating", "cube", 3, 3),
+])
+def test_gram_on_square_and_mix_first_factors(kind, scheme, space, n2, rho):
+    rng = np.random.default_rng(n2 * 10 + rho)
+    H = random_mixing(rng, n2, rho)
+    op = make_sampling_operator(scheme, kind, 16, n2, seed=5, m_hat=6, mixing=H)
+    L = op if space == "cube" else SourceSpaceMap(op, H)
+    assert L._mix_first == (scheme == "decorrelating" and rho < n2)
+    _check_gram(L, rng)
 
 
 @settings(max_examples=150, deadline=None)

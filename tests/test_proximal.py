@@ -4,7 +4,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csskit.operators import NotTightFrame, make_core_operator
+from csskit.model import MixingMatrix
+from csskit.operators import (
+    NotTightFrame,
+    SourceSpaceMap,
+    make_core_operator,
+    make_sampling_operator,
+    operator_norm,
+)
 from csskit.proximal import (
     TV_DUAL_STEP,
     hard_threshold_topk,
@@ -16,7 +23,12 @@ from csskit.proximal import (
     tv_norm,
     tv_prox,
 )
-from oracles import kkt_ball_projection, reference_hard_threshold_topk, reference_tv_prox
+from oracles import (
+    kkt_ball_projection,
+    reference_hard_threshold_topk,
+    reference_l2ball_project_fb,
+    reference_tv_prox,
+)
 
 
 class DenseOp:
@@ -580,6 +592,151 @@ def test_fb_ball_satisfies_the_variational_inequality(m, extra, seed, regime, fr
         X = pinv @ (y - E) + Z - pinv @ (A @ Z)
         scale = max(s @ s, P @ P, X @ X)
         assert np.dot(s - P, X - P) <= tol * scale
+
+
+# the maps FB runs on in the solvers (dense, the uniform source map H (x) A
+# and the decorrelating cube map pinv(H) (x) A), and the uniform cube map
+FB_MAPS = [("dense", "cube"), ("dense", "sources"), ("uniform", "cube"),
+           ("uniform", "sources"), ("decorrelating", "cube")]
+
+
+@st.composite
+def fb_problems(draw, well_posed):
+    """``(L, s, y, epsilon)``: a map of ``FB_MAPS`` on a random core kind and
+    shape, a point, measurements and a radius that leaves the point
+    infeasible. ``well_posed`` draws a map of full row rank with
+    ``sigma_min >= 0.15 sigma_max``, on which the dual iteration converges
+    well inside a large cap (the uniform source map then has n2 = rho)."""
+    scheme, space = draw(st.sampled_from(FB_MAPS))
+    kind = draw(st.sampled_from(["gaussian", "bernoulli", "random-convolution"]))
+    n1 = 2 ** draw(st.integers(2, 5))
+    rho = draw(st.integers(1, 3))
+    n2 = 2 ** draw(st.integers(max(rho - 1, 0), 2))
+    if well_posed and (scheme, space) == ("uniform", "sources"):
+        n2 = rho
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    H = MixingMatrix(0.5 * rng.normal(size=(n2, rho)) + 2.0 * np.eye(n2, rho))
+    rate = draw(st.floats(0.05, 0.25 if well_posed else 1.0))
+    if scheme == "dense":
+        n_in = n1 * (n2 if space == "cube" else rho)
+        sizes = {"m": max(1, int(rate * n_in))}
+    else:
+        sizes = {"m_hat": max(1, int(rate * n1))}
+    op = make_sampling_operator(scheme, kind, n1, n2, seed=seed, mixing=H, **sizes)
+    L = op if space == "cube" else SourceSpaceMap(op, H)
+    if well_posed:
+        n_in = L.shape_in[0] * L.shape_in[1]
+        dense = np.stack([L.forward(e.reshape(L.shape_in, order="F"))
+                          for e in np.eye(n_in)], axis=1)
+        sig = np.linalg.svd(dense, compute_uv=False)
+        assume(L.m <= n_in and sig[L.m - 1] >= 0.15 * sig[0])
+    s = rng.normal(size=L.shape_in)
+    y = 2.0 * rng.normal(size=L.m)
+    r0 = float(np.linalg.norm(y - L.forward(s)))
+    epsilon = 0.0 if draw(st.booleans()) else draw(st.floats(0.05, 0.95)) * r0
+    return L, s, y, epsilon
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fb_problems(well_posed=False), max_iters=st.integers(1, 60),
+       tol=st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_fb_ball_matches_the_primal_form_when_capped(case, max_iters, tol):
+    # the measurement-space loop runs the primal form's iterates: stopped
+    # at the cap or by the test, it returns the same point and flag
+    L, s, y, epsilon = case
+    s0, y0 = s.copy(), y.copy()
+    norm = operator_norm(L, L.shape_in)
+    got, converged = l2ball_project_fb(s, y, L, epsilon, max_iters, tol, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, epsilon, max_iters, tol, norm)
+    np.testing.assert_array_equal(s, s0)
+    np.testing.assert_array_equal(y, y0)
+    assert converged == want_converged
+    scale = max(np.linalg.norm(s), np.linalg.norm(want), 1.0)
+    assert np.linalg.norm(got - want) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=fb_problems(well_posed=True))
+def test_fb_ball_matches_the_primal_form_when_converged(case):
+    L, s, y, epsilon = case
+    norm = operator_norm(L, L.shape_in)
+    got, converged = l2ball_project_fb(s, y, L, epsilon, 20000, 1e-10, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, epsilon, 20000, 1e-10, norm)
+    assert converged and want_converged
+    scale = max(np.linalg.norm(s), np.linalg.norm(want), 1.0)
+    assert np.linalg.norm(got - want) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "random-convolution"])
+def test_fb_ball_stops_when_the_projection_is_the_origin(kind):
+    # s = 1e3 L^T z and the ball {x : L x = 0}: u = s - L^T v tends to 0, so
+    # ||s||^2 - 2 <v, b> + <v, G v> cancels to rounding noise of either sign
+    rng = np.random.default_rng(0)
+    H = MixingMatrix(0.3 * rng.normal(size=(3, 3)) + 2.0 * np.eye(3))
+    op = make_sampling_operator("uniform", kind, 16, 3, seed=3, m_hat=4, mixing=H)
+    L = SourceSpaceMap(op, H)
+    s = 1e3 * L.adjoint(rng.normal(size=L.m))
+    y = np.zeros(L.m)
+    norm = operator_norm(L, L.shape_in)
+    got, converged = l2ball_project_fb(s, y, L, 0.0, 5000, 1e-10, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, 0.0, 5000, 1e-10, norm)
+    assert converged and want_converged
+    assert np.max(np.abs(got)) <= 1e-8 * np.max(np.abs(s))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "random-convolution"])
+def test_fb_ball_runs_on_where_the_dual_has_a_null_space(kind):
+    # H (x) A with n2 > rho has range of dimension rho*m_hat < m: for y off
+    # that range and epsilon = 0 the dual iterate drifts along the null
+    # space while u settles, so <dv, G v_k - G v_{k-1}> is rounding of
+    # either sign; the loop runs to its cap as the primal form does
+    rng = np.random.default_rng(5)
+    H = MixingMatrix(0.5 * rng.normal(size=(4, 2)) + 2.0 * np.eye(4, 2))
+    op = make_sampling_operator("uniform", kind, 16, 4, seed=1, mixing=H, m_hat=5)
+    L = SourceSpaceMap(op, H)
+    s, y = rng.normal(size=L.shape_in), 2.0 * rng.normal(size=L.m)
+    norm = operator_norm(L, L.shape_in)
+    got, converged = l2ball_project_fb(s, y, L, 0.0, 300, 0.0, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, 0.0, 300, 0.0, norm)
+    assert not converged and not want_converged
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(s))
+
+
+def test_fb_ball_applies_the_gram_once_per_step():
+    # one forward before the loop, one adjoint after it, one L L^T per step
+    # after the first (v = 0 there); an operator without gram gets
+    # forward(adjoint(v)) in its place
+    class CountingOp(DenseOp):
+        def __init__(self, A, with_gram):
+            super().__init__(A)
+            self.calls = {"forward": 0, "adjoint": 0, "gram": 0}
+            if with_gram:
+                self.gram = self._gram
+
+        def forward(self, x):
+            self.calls["forward"] += 1
+            return super().forward(x)
+
+        def adjoint(self, r):
+            self.calls["adjoint"] += 1
+            return super().adjoint(r)
+
+        def _gram(self, v):
+            self.calls["gram"] += 1
+            return self.A @ (self.A.T @ v)
+
+    rng = np.random.default_rng(14)
+    A = rng.normal(size=(6, 20))
+    s, y = rng.normal(size=20), 3.0 * rng.normal(size=6)
+    norm = float(np.linalg.norm(A, 2))
+    with_gram, plain = CountingOp(A, True), CountingOp(A, False)
+    P, _ = l2ball_project_fb(s, y, with_gram, 0.5, 30, 0.0, norm)
+    Q, _ = l2ball_project_fb(s, y, plain, 0.5, 30, 0.0, norm)
+    assert with_gram.calls == {"forward": 1, "adjoint": 1, "gram": 29}
+    assert plain.calls == {"forward": 30, "adjoint": 30, "gram": 0}
+    np.testing.assert_allclose(P, Q, rtol=0, atol=1e-12 * np.linalg.norm(s))
 
 
 def test_prox_maps_are_nonexpansive():
