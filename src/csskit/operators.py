@@ -16,10 +16,22 @@ vec(X)``; only the dense scheme is one matrix ``M`` on ``vec(X)``:
 | dense source | ``M = A (H (x) I_n1)``, folded once |
 
 The decorrelating cube map samples ``X = S H^T`` as ``vec(A S)``: the
-mixing drops out of the recovery problem. All operators are pure
-deterministic functions of ``(kind, dims, seed)`` and immutable after
-construction (a core's Gram matrix ``A A^T`` is cached on first use);
-``forward``/``adjoint``/``gram`` are re-entrant.
+mixing drops out of the recovery problem.
+
+On the four Kronecker maps the Gram ``L L^T = (B B^T) (x) (A A^T)`` is
+diagonal in the orthonormal basis ``Q_B (x) Q_A`` of the two factors'
+eigenvectors, with eigenvalues ``lam_B (x) lam_A`` (:class:`GramBasis`):
+``eigh`` of the ``m_hat x m_hat`` matrix ``A A^T`` (none on a
+random-convolution core, whose Gram is ``nu * I``) and of the small
+``B B^T``. The dense maps have no basis and apply ``M (M^T v)``: an
+``eigh`` of their ``m x m`` Gram costs more memory than it saves time,
+and a cached ``M M^T`` would speed up the dense arm that acceptance
+criterion 10 times as the slow reference (its gate: at least 5x the
+decorrelating arm's wall time).
+
+All operators are pure deterministic functions of ``(kind, dims, seed)``
+and immutable after construction (the eigenbases are computed on first
+use and cached); ``forward``/``adjoint``/``gram`` are re-entrant.
 """
 
 from __future__ import annotations
@@ -62,6 +74,10 @@ class CoreOperator:
 
     ``forward``/``adjoint`` accept vectors of length ``n1``/``m_hat`` or
     matrices with that many rows (columns mapped independently).
+
+    The eigendecomposition of the Gram ``A A^T`` (``m_hat x m_hat``) is
+    formed on first use and kept for the maps' :class:`GramBasis`; a
+    random-convolution core needs none, its Gram being ``nu * I``.
     """
 
     def __init__(self, kind: str, m_hat: int, n1: int, seed: int):
@@ -121,20 +137,15 @@ class CoreOperator:
         z[self._omega] = y
         return self._scale * self._convolve(z, self._spec_conj)
 
-    def gram(self, y: np.ndarray) -> np.ndarray:
-        """``A A^T y``: ``nu * y`` on the random-convolution core (no FFT),
-        else the ``m_hat x m_hat`` Gram matrix, formed on first use, times
-        ``y``."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[0] != self.m_hat:
-            raise ValueError(f"expected {self.m_hat} rows, got {y.shape[0]}")
-        if self.kind == "random-convolution":
-            return self.nu * y
-        return self._gram @ y
-
     @cached_property
-    def _gram(self) -> np.ndarray:
-        return self._mat @ self._mat.T
+    def _eig(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(lam, Q)`` with ``A A^T = Q diag(lam) Q^T``, the eigenvalues
+        clipped at 0; ``Q`` is None (the identity) on the random-convolution
+        core, whose Gram is ``nu * I``."""
+        if self.kind == "random-convolution":
+            return np.full(self.m_hat, self.nu), None
+        lam, Q = np.linalg.eigh(self._mat @ self._mat.T)
+        return np.maximum(lam, 0.0), Q
 
     def _convolve(self, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
         # circular convolution along axis 0 with the filter of half spectrum spec
@@ -189,6 +200,38 @@ def operator_norm(op, input_shape, iters: int = 50, seed: int = 0) -> float:
     return math.sqrt(lam)
 
 
+class GramBasis:
+    """The orthonormal eigenbasis of ``L L^T = (B B^T) (x) (A A^T)`` for a
+    Kronecker map ``L = B (x) A``: ``Q_B (x) Q_A`` with the eigenvalues
+    ``lam = lam_B (x) lam_A``, from the eigenpairs ``(lam_A, Q_A)`` of
+    ``A A^T`` and ``(lam_B, Q_B)`` of ``B B^T`` (``Q`` None: the identity).
+
+    ``to`` takes an ``(m,)`` measurement vector ``vec(Y)`` to its
+    coordinates ``vec(Q_A^T Y Q_B)`` and ``back`` returns them, so
+    ``L L^T v = back(lam * to(v))``; both preserve norms and inner
+    products. ``max(lam)`` is ``||L||^2``.
+    """
+
+    def __init__(self, lam_a, q_a, lam_b, q_b):
+        self.q_a = q_a
+        self.q_b = q_b
+        # v is vec(Y) in column order, so its (columns, m_hat) view is Y^T
+        self._shape = (lam_b.size, lam_a.size)
+        self.lam = np.multiply.outer(lam_b, lam_a).ravel()
+
+    def to(self, v: np.ndarray) -> np.ndarray:
+        Wt = np.array(v, dtype=np.float64).reshape(self._shape)
+        if self.q_b is not None:
+            Wt = self.q_b.T @ Wt
+        return (Wt if self.q_a is None else Wt @ self.q_a).ravel()
+
+    def back(self, w: np.ndarray) -> np.ndarray:
+        Yt = np.array(w, dtype=np.float64).reshape(self._shape)
+        if self.q_b is not None:
+            Yt = self.q_b @ Yt
+        return (Yt if self.q_a is None else Yt @ self.q_a.T).ravel()
+
+
 class _KronMap:
     """One linear map on ``shape_in`` matrices: ``X -> vec(A X B^T) =
     (B (x) A) vec(X)``, with ``A`` the core and ``B`` a right factor on the
@@ -200,15 +243,12 @@ class _KronMap:
     ``forward`` takes a ``shape_in`` matrix and ``adjoint`` an ``(m,)``
     vector; both reject any other shape.
 
-    ``gram`` applies ``L L^T`` to an ``(m,)`` vector on the same factors,
-    ``(A A^T) Y (B B^T)`` on the ``(m_hat, columns)`` matrix ``Y`` of the
-    vector, in place of a ``forward`` of the ``adjoint``: the core's Gram
-    is ``nu * I`` on a random-convolution core (no FFT) and the
-    ``m_hat x m_hat`` matrix ``A A^T`` otherwise. Like the core, it acts on
-    the narrower side of ``B``: on ``Y`` followed by the ``rows x rows``
-    product ``B B^T``, kept from construction, when mixing first, else on
-    ``Y B`` followed by ``B^T``. The dense map applies ``M (M^T v)``;
-    ``M M^T`` is never formed.
+    ``basis`` is the :class:`GramBasis` of ``L L^T``, built on first use
+    from the core's cached eigenpairs of ``A A^T`` and those of ``B B^T``
+    (``rows x rows``, rows of ``B``), or None for the dense map (see the
+    module docstring). ``gram`` applies ``L L^T`` to an ``(m,)`` vector:
+    ``back(lam * to(v))`` in the basis, ``M (M^T v)`` on the dense map
+    (``M M^T`` is never formed).
     """
 
     def __init__(self, core: CoreOperator, shape_in: tuple[int, int], B=None, M=None,
@@ -223,7 +263,6 @@ class _KronMap:
         else:
             self.m = core.m_hat * (shape_in[1] if B is None else B.shape[0])
         self._mix_first = B is not None and B.shape[0] < B.shape[1]
-        self._BBt = B @ B.T if self._mix_first else None
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -247,23 +286,24 @@ class _KronMap:
             return self.core.adjoint(Y) @ self.B
         return self.core.adjoint(Y if self.B is None else Y @ self.B)
 
+    @cached_property
+    def basis(self) -> GramBasis | None:
+        if self.M is not None:
+            return None
+        lam_a, q_a = self.core._eig
+        if self.B is None:
+            return GramBasis(lam_a, q_a, np.ones(self.shape_in[1]), None)
+        lam_b, q_b = np.linalg.eigh(self.B @ self.B.T)
+        return GramBasis(lam_a, q_a, np.maximum(lam_b, 0.0), q_b)
+
     def gram(self, v: np.ndarray) -> np.ndarray:
-        """``L L^T v`` for an ``(m,)`` vector, on the map's factors."""
+        """``L L^T v`` for an ``(m,)`` vector."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.m,):
             raise ValueError(f"expected a measurement vector of length {self.m}")
         if self.M is not None:
             return self.M @ (self.M.T @ v)
-        # v is vec(Y) in column order, so this view is Y^T; the result is
-        # formed transposed as well, whose C order reads as vec
-        Yt = v.reshape(-1, self.core.m_hat)
-        if self._mix_first:
-            out = self._BBt @ self.core.gram(Yt.T).T
-        elif self.B is None:
-            out = self.core.gram(Yt.T).T
-        else:
-            out = self.B @ self.core.gram(Yt.T @ self.B).T
-        return out.ravel()
+        return self.basis.back(self.basis.lam * self.basis.to(v))
 
     def y_as_matrix(self, y: np.ndarray) -> np.ndarray:
         """Unstack a measurement vector into its ``(m_hat, columns)`` matrix."""

@@ -315,14 +315,22 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     The loop lives in measurement space. The primal iterate
     ``u = s - op^T v`` enters each step only through ``op(u) = b - G v``,
     with ``b = op(s)`` formed once and ``G = op op^T`` applied once per
-    step: ``op.gram`` when the operator has one, else ``op(op^T v)``. The
-    iterates are those of the primal form ``w = v/sigma + op(u)`` in exact
-    arithmetic, and ``||G|| = ||op||^2``, so the step bound above holds
-    as it stands. The stop test ``||u_k - u_{k-1}|| < tol *
-    max(||u_{k-1}||, 1)`` reads ``||u_k - u_{k-1}||^2 =
+    step. The iterates are those of the primal form ``w = v/sigma +
+    op(u)`` in exact arithmetic, and ``||G|| = ||op||^2``, so the step
+    bound above holds as it stands. The stop test ``||u_k - u_{k-1}|| <
+    tol * max(||u_{k-1}||, 1)`` reads ``||u_k - u_{k-1}||^2 =
     <v_k - v_{k-1}, G v_k - G v_{k-1}>`` and ``||u||^2 = ||s||^2 -
     2 <v, b> + <v, G v>``, both floored at 0 since cancellation can round
     them below it. One ``adjoint`` at the end returns ``s - op^T v``.
+
+    An operator with a ``basis`` (a :class:`~csskit.operators.GramBasis`,
+    as every Kronecker map has) runs the loop in that orthonormal
+    eigenbasis of ``G``: ``b`` and ``y`` are rotated into it once, ``G v``
+    is the elementwise ``lam * v``, and the final ``v`` is rotated back
+    once before the adjoint. The rotation keeps every inner product, so
+    the iterates and the stop test are the same to rounding. Other
+    operators apply ``op.gram`` when they have one (the dense maps:
+    ``M (M^T v)``), else ``op(op^T v)``.
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -333,10 +341,18 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
         from .operators import operator_norm
 
         op_norm = operator_norm(op, s.shape)
-    gram = getattr(op, "gram", None)
-    if gram is None:
+    basis = getattr(op, "basis", None)
+    if basis is not None:
+        b, y = basis.to(b), basis.to(y)
+        lam = basis.lam
+
         def gram(v):
-            return op.forward(op.adjoint(v))
+            return lam * v
+    else:
+        gram = getattr(op, "gram", None)
+        if gram is None:
+            def gram(v):
+                return op.forward(op.adjoint(v))
     sigma = 1.0 / max(op_norm**2, 1e-30)
     ss = float(np.vdot(s, s))
     c = b - y
@@ -361,4 +377,6 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
         v = d * (sigma * (1.0 - epsilon / dn)) if dn > epsilon else np.zeros_like(y)
         if converged:
             break
+    if basis is not None:
+        v = basis.back(v)
     return s - op.adjoint(v), converged

@@ -34,8 +34,8 @@ PRIORS = ("tv", "l1-wavelet")
 
 # operator_norm is a power-iteration lower bound on ||L||. At 50 iterations
 # it fell short by up to 3.3 % on gaussian and bernoulli cores, so IHT's
-# default step on a map with neither a tight-frame constant nor a core SVD
-# (the uniform and dense schemes) uses the estimate inflated by this factor.
+# default step on a map with no exact norm (the dense maps) uses the
+# estimate inflated by this factor.
 _IHT_NORM_MARGIN = 1.1
 
 
@@ -45,11 +45,12 @@ class SolverConfig:
 
     beta is the proximal weight of the splitting; gamma_step overrides the
     hard-thresholding step size (default 1/||L||^2 for the source map L:
-    exact for tight frames and for maps I (x) A on non-tight cores, whose
-    SVD gives ||L|| = sigma_max(A); else with the power-iteration norm estimate
-    inflated by 10 % so the step stays below the bound); iht_k is the
-    sparsity budget of the hard-thresholding solver; power_iters >= 1 runs
-    that norm estimate, which also sets the iterative ball projection's step.
+    exact on every Kronecker map ``B (x) A``, where ||L|| =
+    sigma_max(B) sigma_max(A); on the dense map with the power-iteration
+    norm estimate inflated by 10 % so the step stays below the bound);
+    iht_k is the sparsity budget of the hard-thresholding solver;
+    power_iters >= 1 runs that norm estimate, which also sets the iterative
+    ball projection's step.
     """
 
     beta: float = 1.0
@@ -170,10 +171,13 @@ def _ball_machinery(L, y, epsilon, config, flags):
     Tight frames get ``nu`` and the exact closed form, and a map ``I (x) A``
     on a full-rank non-tight core ``sigma_max(A)^2`` and the exact
     projection from the core's SVD. Everything else (a map with a mixing
-    factor or a matrix of its own) gets a power-iteration estimate, a lower
-    bound, and the iterative dual forward-backward projection with that
-    estimate. A projection that stops at ``config.ball_max_iters`` adds
-    ``"ball-projection-capped"`` to the ``flags`` set.
+    factor or a matrix of its own) gets the iterative dual forward-backward
+    projection with its step from a power-iteration estimate of ``||L||``,
+    a lower bound. The norm returned for those maps is exact on a
+    Kronecker map, the largest eigenvalue of its Gram basis, and that
+    estimate on the dense map. A projection that stops at
+    ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to the
+    ``flags`` set.
     """
     svd = _core_svd(L)
     if L.nu is not None:
@@ -191,6 +195,9 @@ def _ball_machinery(L, y, epsilon, config, flags):
             flags.add("ball-projection-capped")
         return out
 
+    basis = getattr(L, "basis", None)
+    if basis is not None:
+        return float(basis.lam.max()), True, project
     return norm_est**2, False, project
 
 
@@ -345,8 +352,8 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     preserving per-source energy ratios; (4) ``S = simplex(W^T theta)``, the
     row-simplex projection in the image domain. The new residual feeds the
     trace and the next step. ``gamma`` defaults to ``1/||L||^2`` (``W`` is
-    orthonormal) from ``_ball_machinery``, an estimated norm inflated by
-    ``_IHT_NORM_MARGIN``.
+    orthonormal) from ``_ball_machinery``: exact on the Kronecker maps, an
+    estimated norm inflated by ``_IHT_NORM_MARGIN`` on the dense map.
 
     ``step_monitor(iteration, step, theta)``, when given, is called after
     each of the four steps with the current coefficient matrix (read-only

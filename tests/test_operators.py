@@ -319,6 +319,45 @@ def test_gram_on_square_and_mix_first_factors(kind, scheme, space, n2, rho):
     _check_gram(L, rng)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", RC])
+@pytest.mark.parametrize("space", ["cube", "sources"])
+@pytest.mark.parametrize("scheme", ["uniform", "decorrelating"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kronecker_maps_diagonalize_their_gram(scheme, space, kind, data):
+    # the basis Q_B (x) Q_A: orthonormal, L L^T = back(lam * to(.)) with
+    # lam >= 0, and max(lam) = ||L||^2 of the materialized map
+    L, seed = data.draw(source_maps(schemes=(scheme,), spaces=(space,), kinds=(kind,)))
+    # built on first use, not at construction
+    assert "basis" not in vars(L) and "_eig" not in vars(L.core)
+    basis = L.basis
+    rng = np.random.default_rng(seed + 5)
+    v = rng.normal(size=L.m)
+    w = basis.to(v)
+    assert w.shape == (L.m,)
+    assert abs(np.linalg.norm(w) - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(basis.back(w) - v) <= 1e-12 * np.linalg.norm(v)
+    assert basis.lam.shape == (L.m,) and np.all(basis.lam >= 0.0)
+    want = L.forward(L.adjoint(v))
+    got = basis.back(basis.lam * basis.to(v))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    n_in = L.shape_in[0] * L.shape_in[1]
+    dense = np.stack([L.forward(e.reshape(L.shape_in, order="F")) for e in np.eye(n_in)],
+                     axis=1)
+    top = float(basis.lam.max())
+    assert top == pytest.approx(np.linalg.norm(dense, 2) ** 2, rel=1e-10)
+    # the power iteration is a lower bound, up to its own rounding
+    assert top >= operator_norm(L, L.shape_in) ** 2 * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("space", ["cube", "sources"])
+def test_dense_maps_offer_no_basis(space):
+    H = random_mixing(np.random.default_rng(10), 4, 2)
+    op = make_sampling_operator("dense", "gaussian", 16, 4, seed=8, m=20)
+    L = op if space == "cube" else SourceSpaceMap(op, H)
+    assert L.basis is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=source_maps(schemes=("uniform",), spaces=("sources",)))
 def test_uniform_source_map_matches_the_cube_path(case):

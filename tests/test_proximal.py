@@ -6,7 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from csskit.model import MixingMatrix
 from csskit.operators import (
+    CoreOperator,
     NotTightFrame,
+    SamplingOperator,
     SourceSpaceMap,
     make_core_operator,
     make_sampling_operator,
@@ -737,6 +739,37 @@ def test_fb_ball_applies_the_gram_once_per_step():
     assert with_gram.calls == {"forward": 1, "adjoint": 1, "gram": 29}
     assert plain.calls == {"forward": 30, "adjoint": 30, "gram": 0}
     np.testing.assert_allclose(P, Q, rtol=0, atol=1e-12 * np.linalg.norm(s))
+
+
+@pytest.mark.parametrize("max_iters", [1, 7, 60])
+def test_fb_ball_on_a_kronecker_map_runs_the_core_twice(max_iters):
+    # in the Gram eigenbasis each step is elementwise: one core forward for
+    # b = L(s) and one core adjoint at the end, whatever the step count
+    class CountingCore(CoreOperator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = {"forward": 0, "adjoint": 0}
+
+        def forward(self, x):
+            self.calls["forward"] += 1
+            return super().forward(x)
+
+        def adjoint(self, y):
+            self.calls["adjoint"] += 1
+            return super().adjoint(y)
+
+    rng = np.random.default_rng(15)
+    H = MixingMatrix(0.5 * rng.normal(size=(4, 2)) + 2.0 * np.eye(4, 2))
+    core = CountingCore("gaussian", 6, 16, 2)
+    L = SourceSpaceMap(SamplingOperator("uniform", core, 16, 4), H)
+    s, y = rng.normal(size=L.shape_in), 2.0 * rng.normal(size=L.m)
+    norm = operator_norm(L, L.shape_in)
+    core.calls.update(forward=0, adjoint=0)
+    got, converged = l2ball_project_fb(s, y, L, 0.0, max_iters, 0.0, norm)
+    assert core.calls == {"forward": 1, "adjoint": 1}
+    assert not converged
+    want, _ = reference_l2ball_project_fb(s, y, L, 0.0, max_iters, 0.0, norm)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(s))
 
 
 def test_prox_maps_are_nonexpansive():

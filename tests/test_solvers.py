@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,27 @@ def test_iht_default_step_is_exact_on_a_decorrelating_non_tight_map():
     np.testing.assert_allclose(first["theta"], gamma * grad, rtol=1e-9, atol=1e-12)
     sigma_max = np.linalg.norm(op.core.as_matrix(), 2)
     assert gamma == pytest.approx(1.0 / sigma_max**2, rel=1e-12)
+
+
+def test_iht_default_step_is_exact_on_a_uniform_source_map():
+    # H (x) A composed with orthonormal wavelets: ||M|| = sigma_max(H)
+    # sigma_max(A), each squared norm the top eigenvalue of its factor's Gram
+    scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=4))
+    op = make_sampling_operator("uniform", "gaussian", 256, 8, seed=9, m_hat=64,
+                                mixing=scene.mixing)
+    y = op.forward(scene.cube.data)
+    problem = RecoveryProblem(noiseless(y), op, Wavelet2D(16, 16), 2, mixing=scene.mixing)
+    H, A = scene.mixing.data, op.core.as_matrix()
+    sig_h2 = np.linalg.eigh(H @ H.T)[0][-1]
+    sig_a2 = np.linalg.eigh(A @ A.T)[0][-1]
+    assert sig_h2 * sig_a2 == pytest.approx(
+        (np.linalg.norm(H, 2) * np.linalg.norm(A, 2)) ** 2, rel=1e-12)
+    config = SolverConfig(max_iters=8, iht_k=40, rel_tol=0.0)
+    default = iht_ss_solve(problem, config)
+    fixed = iht_ss_solve(problem, dataclasses.replace(
+        config, gamma_step=1.0 / (sig_h2 * sig_a2)))
+    assert default.s_hat.tobytes() == fixed.s_hat.tobytes()
+    assert default.trace == fixed.trace
 
 
 @pytest.mark.parametrize("scheme", ["dense", "uniform"])
