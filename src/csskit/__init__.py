@@ -45,8 +45,8 @@ from .operators import (
 )
 from .proximal import (
     hard_threshold_topk,
+    l2ball_project_eig,
     l2ball_project_fb,
-    l2ball_project_svd,
     l2ball_project_tightframe,
     simplex_project_rows,
     soft_threshold,
@@ -106,8 +106,8 @@ __all__ = [
     "iht_ss_solve",
     "kron_rip_bound",
     "l1_ss_synthesis_solve",
+    "l2ball_project_eig",
     "l2ball_project_fb",
-    "l2ball_project_svd",
     "l2ball_project_tightframe",
     "make_core_operator",
     "make_sampling_operator",

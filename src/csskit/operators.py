@@ -21,13 +21,14 @@ mixing drops out of the recovery problem.
 On the four Kronecker maps the Gram ``L L^T = (B B^T) (x) (A A^T)`` is
 diagonal in the orthonormal basis ``Q_B (x) Q_A`` of the two factors'
 eigenvectors, with eigenvalues ``lam_B (x) lam_A`` (:class:`GramBasis`):
-``eigh`` of the ``m_hat x m_hat`` matrix ``A A^T`` (none on a
-random-convolution core, whose Gram is ``nu * I``) and of the small
-``B B^T``. The dense maps have no basis and apply ``M (M^T v)``: an
-``eigh`` of their ``m x m`` Gram costs more memory than it saves time,
-and a cached ``M M^T`` would speed up the dense arm that acceptance
-criterion 10 times as the slow reference (its gate: at least 5x the
-decorrelating arm's wall time).
+``U`` and ``sig^2`` of the SVDs of ``A`` (none on a random-convolution
+core, whose Gram is ``nu * I``) and of the small ``B``. Rank is decided
+there, once: numerically zero eigenvalues are stored as exact zeros, so
+``min(lam) > 0`` says ``L`` has full row rank. The dense maps have no
+basis and apply ``M (M^T v)``: an ``eigh`` of their ``m x m`` Gram costs
+more memory than it saves time, and a cached ``M M^T`` would speed up the
+dense arm that acceptance criterion 10 times as the slow reference (its
+gate: at least 5x the decorrelating arm's wall time).
 
 All operators are pure deterministic functions of ``(kind, dims, seed)``
 and immutable after construction (the eigenbases are computed on first
@@ -76,7 +77,7 @@ class CoreOperator:
     matrices with that many rows (columns mapped independently).
 
     The eigendecomposition of the Gram ``A A^T`` (``m_hat x m_hat``) is
-    formed on first use and kept for the maps' :class:`GramBasis`; a
+    formed on first use from its SVD and kept for the maps' GramBasis; a
     random-convolution core needs none, its Gram being ``nu * I``.
     """
 
@@ -139,13 +140,17 @@ class CoreOperator:
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(lam, Q)`` with ``A A^T = Q diag(lam) Q^T``, the eigenvalues
-        clipped at 0; ``Q`` is None (the identity) on the random-convolution
+        """``(lam, Q)`` with ``A A^T = Q diag(lam) Q^T``: ``U`` and ``sig^2``
+        of the thin SVD of ``A`` (``eigh(A A^T)`` would square its condition
+        number), each ``sig <= sig_max * max(A.shape) * eps`` stored as an
+        exact 0. ``Q`` is None (the identity) on the random-convolution
         core, whose Gram is ``nu * I``."""
         if self.kind == "random-convolution":
             return np.full(self.m_hat, self.nu), None
-        lam, Q = np.linalg.eigh(self._mat @ self._mat.T)
-        return np.maximum(lam, 0.0), Q
+        U, sig, _ = np.linalg.svd(self._mat, full_matrices=False)
+        lam = np.square(sig)
+        lam[sig <= sig[0] * max(self._mat.shape) * np.finfo(np.float64).eps] = 0.0
+        return lam, U
 
     def _convolve(self, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
         # circular convolution along axis 0 with the filter of half spectrum spec
@@ -246,7 +251,10 @@ class _KronMap:
     ``basis`` is the :class:`GramBasis` of ``L L^T``, built on first use
     from the core's cached eigenpairs of ``A A^T`` and those of ``B B^T``
     (``rows x rows``, rows of ``B``), or None for the dense map (see the
-    module docstring). ``gram`` applies ``L L^T`` to an ``(m,)`` vector:
+    module docstring), the latter the full SVD's square ``U`` and ``sig^2``
+    with exact zeros past ``min(B.shape)``: ``B`` is ``H`` or ``pinv(H)``,
+    of full rank by :class:`~csskit.model.MixingMatrix`'s check. ``gram``
+    applies ``L L^T`` to an ``(m,)`` vector:
     ``back(lam * to(v))`` in the basis, ``M (M^T v)`` on the dense map
     (``M M^T`` is never formed).
     """
@@ -293,8 +301,9 @@ class _KronMap:
         lam_a, q_a = self.core._eig
         if self.B is None:
             return GramBasis(lam_a, q_a, np.ones(self.shape_in[1]), None)
-        lam_b, q_b = np.linalg.eigh(self.B @ self.B.T)
-        return GramBasis(lam_a, q_a, np.maximum(lam_b, 0.0), q_b)
+        q_b, sig_b, _ = np.linalg.svd(self.B)
+        lam_b = np.pad(np.square(sig_b), (0, self.B.shape[0] - sig_b.size))
+        return GramBasis(lam_a, q_a, lam_b, q_b)
 
     def gram(self, v: np.ndarray) -> np.ndarray:
         """``L L^T v`` for an ``(m,)`` vector."""

@@ -258,59 +258,54 @@ def l2ball_project_tightframe(s, y, op, epsilon, nu=None):
     return s + op.adjoint(r) * ((1.0 - epsilon / rn) / nu)
 
 
-def l2ball_project_svd(s, y, core, epsilon, svd):
-    """Exact projection of ``s`` onto {x : ||y - core(x)||_F <= epsilon}.
+def l2ball_project_eig(s, y, op, epsilon):
+    """Exact projection of ``s`` onto {x : ||y - op(x)|| <= epsilon}.
 
-    ``core`` maps each column of the ``(n1, k)`` matrix ``s`` and
-    ``svd = (U, sig, Vt)`` is its thin SVD with ``U`` square and every
-    ``sig > 0``: the core has full row rank. With ``C = U^T r`` for the
-    residual ``r = y - core(s)``, epsilon = 0 gives the minimum-norm affine
-    correction ``s + V diag(1/sig) C``. Otherwise the KKT point
-    ``s + V diag(mu*sig / (1 + mu*sig^2)) C`` has ``||y - core(x)|| =
-    ||diag(1/(1 + mu*sig^2)) C||``, and ``mu`` solves that equal to epsilon:
-    the reciprocal norm is concave and increasing in ``mu`` (the secular
-    equation of a trust-region step, More & Sorensen 1983), so Newton's
-    method from ``mu = 0`` climbs monotonically to the root, to machine
-    precision. Feasible inputs return unchanged.
+    ``op.basis`` is the :class:`~csskit.operators.GramBasis` of ``G = op
+    op^T`` with every eigenvalue ``lam > 0``: the map has full row rank.
+    With ``c = basis.to(r)`` for the residual ``r = y - op(s)``, the KKT
+    point is ``s + op^T basis.back(mu * c / (1 + mu*lam))``, whose
+    residual has the coordinates ``c / (1 + mu*lam)``; ``mu`` makes their
+    norm epsilon. The reciprocal norm is concave and increasing in ``mu``
+    (the secular equation of a trust-region step, More & Sorensen 1983), so
+    Newton's method from ``mu = 0`` climbs monotonically to the root, to
+    machine precision. epsilon = 0 gives the minimum-norm affine correction,
+    the step ``c / lam``. Feasible inputs return unchanged.
     """
     s = np.asarray(s, dtype=np.float64)
-    r = y - core.forward(s)
-    rn = np.linalg.norm(r)
-    if rn <= epsilon:
+    r = y - op.forward(s)
+    if np.linalg.norm(r) <= epsilon:
         return s.copy()
-    U, sig, Vt = svd
-    c = U.T @ r
+    basis = op.basis
+    lam = basis.lam
+    c = basis.to(r)
     if epsilon == 0.0:
-        gain = 1.0 / sig
-    else:
-        # squared norm of each row of C: the ball couples all the columns
-        c2 = np.square(c).sum(axis=1)
-        sig2 = np.square(sig)
-        mu = 0.0
-        # monotone Newton: at most 10 steps on 21,000 random gaussian and
-        # bernoulli cores; 100 only bounds the loop
-        for _ in range(100):
-            w = 1.0 / (1.0 + mu * sig2)
-            n = math.sqrt(np.dot(c2, w * w))
-            step = (n - epsilon) * n * n / (epsilon * np.dot(c2 * sig2, w * w * w))
-            if not mu + step > mu:
-                break
-            mu += step
-        gain = mu * sig / (1.0 + mu * sig2)
-    return s + Vt.T @ (gain[:, None] * c)
+        return s + op.adjoint(basis.back(c / lam))
+    c2 = np.square(c)
+    mu = 0.0
+    # monotone Newton: at most 10 steps on 21,000 random gaussian and
+    # bernoulli cores; 100 only bounds the loop
+    for _ in range(100):
+        w = 1.0 / (1.0 + mu * lam)
+        n = math.sqrt(np.dot(c2, w * w))
+        step = (n - epsilon) * n * n / (epsilon * np.dot(c2 * lam, w * w * w))
+        if not mu + step > mu:
+            break
+        mu += step
+    return s + op.adjoint(basis.back(mu * c / (1.0 + mu * lam)))
 
 
 def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     """Projection onto {x : ||y - op(x)|| <= epsilon} by dual forward-backward.
 
-    Best effort for operators without a tight-frame constant or a usable
-    SVD. Returns ``(projection, converged)``; feasible inputs return
-    unchanged. ``op_norm`` (an estimate of ||op||) is computed by power
-    iteration when not supplied. The dual step is ``sigma = 1/op_norm^2``,
-    and the iteration converges for any ``sigma * ||op||^2 < 2``: a power
-    iteration estimate falls short of ||op|| (by up to 3.3 % at 50
-    iterations on gaussian and bernoulli cores), which keeps the product
-    near 1, far from that bound.
+    Best effort for operators without a tight-frame constant or a Gram
+    basis of full rank. Returns ``(projection, converged)``; feasible
+    inputs return unchanged. ``op_norm`` (an estimate of ||op||) is
+    computed by power iteration when not supplied. The dual step is
+    ``sigma = 1/op_norm^2``, and the iteration converges for any
+    ``sigma * ||op||^2 < 2``: a power iteration estimate falls short of
+    ||op|| (by up to 3.3 % at 50 iterations on gaussian and bernoulli
+    cores), which keeps the product near 1, far from that bound.
 
     The loop lives in measurement space. The primal iterate
     ``u = s - op^T v`` enters each step only through ``op(u) = b - G v``,

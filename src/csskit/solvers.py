@@ -12,6 +12,7 @@ Douglas-Rachford up to parameterization (the baselines use that form).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +22,8 @@ from .model import HsiCube, MixingMatrix, SourceMatrix
 from .operators import MeasurementSet, SamplingOperator, SourceSpaceMap, operator_norm
 from .proximal import (
     hard_threshold_topk,
+    l2ball_project_eig,
     l2ball_project_fb,
-    l2ball_project_svd,
     l2ball_project_tightframe,
     simplex_project_rows,
     soft_threshold,
@@ -46,11 +47,11 @@ class SolverConfig:
     beta is the proximal weight of the splitting; gamma_step overrides the
     hard-thresholding step size (default 1/||L||^2 for the source map L:
     exact on every Kronecker map ``B (x) A``, where ||L|| =
-    sigma_max(B) sigma_max(A); on the dense map with the power-iteration
-    norm estimate inflated by 10 % so the step stays below the bound);
-    iht_k is the sparsity budget of the hard-thresholding solver;
-    power_iters >= 1 runs that norm estimate, which also sets the iterative
-    ball projection's step.
+    sigma_max(B) sigma_max(A), the top eigenvalue of its Gram basis; on
+    the dense map with the power-iteration norm estimate inflated by 10 % so
+    the step stays below the bound); iht_k is the sparsity budget of the
+    hard-thresholding solver; power_iters >= 1 runs that norm estimate,
+    which also sets the step of the iterative ball projection (FB).
     """
 
     beta: float = 1.0
@@ -148,57 +149,45 @@ class SolveResult:
             raise ValueError("certified residual must be finite")
 
 
-def _core_svd(L):
-    """Thin SVD ``(U, sig, Vt)`` of the core ``A`` of a map ``I (x) A`` (an
-    identity right factor and no matrix of its own) that is not a tight
-    frame, or None: for any other map, a map without a core among them, and
-    for a numerically rank-deficient core, whose affine set may be empty
-    and whose SVD solve would divide by ~0."""
-    if (getattr(L, "core", None) is None or L.B is not None or L.M is not None
-            or L.nu is not None):
-        return None
-    A = L.core.as_matrix()
-    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
-    if sig[-1] <= sig[0] * max(A.shape) * np.finfo(np.float64).eps:
-        return None
-    return U, sig, Vt
-
-
 def _ball_machinery(L, y, epsilon, config, flags):
     """Return ``(norm_sq, exact, project)``: ``||L||^2``, whether that value
     is exact, and the projection onto the ball ``||y - L(S)|| <= epsilon``.
 
-    Tight frames get ``nu`` and the exact closed form, and a map ``I (x) A``
-    on a full-rank non-tight core ``sigma_max(A)^2`` and the exact
-    projection from the core's SVD. Everything else (a map with a mixing
-    factor or a matrix of its own) gets the iterative dual forward-backward
-    projection with its step from a power-iteration estimate of ``||L||``,
-    a lower bound. The norm returned for those maps is exact on a
-    Kronecker map, the largest eigenvalue of its Gram basis, and that
-    estimate on the dense map. A projection that stops at
-    ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to the
-    ``flags`` set.
+    Three rules, read off the map's structure:
+
+    - a tight frame (``L.nu`` set) gets ``nu`` and the closed form
+      ``l2ball_project_tightframe``;
+    - a map with a full-rank Gram basis (``min(lam) > 0``: ``I (x) A`` on
+      a full-rank core, ``H (x) A`` with ``n2 == rho``) gets ``max(lam)``
+      and the exact ``l2ball_project_eig``;
+    - every other map gets the iterative dual forward-backward projection
+      (FB), with its step from a power-iteration estimate of ``||L||``, a
+      lower bound, formed on the first projection. Its norm is ``max(lam)``
+      on a map with a basis (``H (x) A`` with ``n2 > rho``, a rank-deficient
+      core) and the estimate on the dense maps. A projection that stops at
+      ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to
+      ``flags``.
     """
-    svd = _core_svd(L)
     if L.nu is not None:
         return L.nu, True, lambda S: l2ball_project_tightframe(S, y, L, epsilon, L.nu)
-    if svd is not None:
-        Y = L.y_as_matrix(y)
-        return svd[1][0] ** 2, True, lambda S: l2ball_project_svd(S, Y, L.core, epsilon, svd)
-    norm_est = operator_norm(L, L.shape_in, iters=config.power_iters)
+    basis = getattr(L, "basis", None)
+    if basis is not None and basis.lam.min() > 0.0:
+        return float(basis.lam.max()), True, lambda S: l2ball_project_eig(S, y, L, epsilon)
+    # IHT's default step needs it up front only on the dense maps
+    norm_est = functools.cache(
+        lambda: operator_norm(L, L.shape_in, iters=config.power_iters))
 
     def project(S):
         out, converged = l2ball_project_fb(
-            S, y, L, epsilon, config.ball_max_iters, config.ball_tol, norm_est
+            S, y, L, epsilon, config.ball_max_iters, config.ball_tol, norm_est()
         )
         if not converged:
             flags.add("ball-projection-capped")
         return out
 
-    basis = getattr(L, "basis", None)
     if basis is not None:
         return float(basis.lam.max()), True, project
-    return norm_est**2, False, project
+    return norm_est() ** 2, False, project
 
 
 def _certified_result(L, y, epsilon, s_cert, trace, converged, diverged, flags,

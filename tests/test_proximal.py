@@ -17,8 +17,8 @@ from csskit.operators import (
 from csskit.proximal import (
     TV_DUAL_STEP,
     hard_threshold_topk,
+    l2ball_project_eig,
     l2ball_project_fb,
-    l2ball_project_svd,
     l2ball_project_tightframe,
     simplex_project_rows,
     soft_threshold,
@@ -506,55 +506,98 @@ def test_fb_ball_matches_kkt_oracle_dense():
         assert np.linalg.norm(y - A @ got) <= eps * (1.0 + 1e-3)
 
 
+# the maps with a full-rank Gram basis: I (x) A as the decorrelating source
+# map and the uniform cube map, pinv(H) (x) A, and H (x) A with H square
+EIG_MAPS = [("decorrelating", "sources"), ("uniform", "cube"), ("decorrelating", "cube"),
+            ("uniform", "sources")]
+
+
+def _dense(L):
+    n_in = L.shape_in[0] * L.shape_in[1]
+    return np.stack([L.forward(e.reshape(L.shape_in, order="F")) for e in np.eye(n_in)],
+                    axis=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    kind=st.sampled_from(["gaussian", "bernoulli"]),
-    n1=st.integers(1, 24),
-    m_frac=st.floats(0.0, 1.0),
+    scheme_space=st.sampled_from(EIG_MAPS),
+    kind=st.sampled_from(["gaussian", "bernoulli", "random-convolution"]),
+    n1=st.sampled_from([2, 4, 8, 16, 32]),
+    rate=st.floats(0.0, 0.5),
     rho=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
     regime=st.sampled_from(["zero", "feasible", "infeasible"]),
     frac=st.floats(0.05, 0.95),
 )
-def test_svd_ball_matches_kkt_oracle_and_is_optimal(kind, n1, m_frac, rho, seed,
-                                                     regime, frac):
-    m_hat = 1 + int(m_frac * (n1 - 1))
-    core = make_core_operator(kind, m_hat, n1, seed=seed % 2**31)
-    A = core.as_matrix()
-    U, sig, Vt = np.linalg.svd(A, full_matrices=False)
-    # the documented precondition: full row rank (a rank-deficient core is
-    # routed to the iterative projection by the solvers)
-    assume(sig[-1] > sig[0] * n1 * np.finfo(np.float64).eps)
+def test_eig_ball_matches_kkt_oracle_and_is_optimal(scheme_space, kind, n1, rate, rho,
+                                                    extra, seed, regime, frac):
+    scheme, space = scheme_space
+    n2 = rho if scheme_space == ("uniform", "sources") else rho + extra
     rng = np.random.default_rng(seed)
-    S = rng.normal(size=(n1, rho))
-    Y = 2.0 * rng.normal(size=(m_hat, rho))
-    S0, Y0 = S.copy(), Y.copy()
-    r0 = float(np.linalg.norm(Y - A @ S))
+    H = MixingMatrix(0.5 * rng.normal(size=(n2, rho)) + 2.0 * np.eye(n2, rho))
+    op = make_sampling_operator(scheme, kind, n1, n2, seed=seed, mixing=H,
+                                m_hat=1 + int(rate * (n1 - 1)))
+    L = op if space == "cube" else SourceSpaceMap(op, H)
+    # the oracle's well-conditioned regime; a full-rank basis follows
+    dense = _dense(L)
+    U, sig, Vt = np.linalg.svd(dense, full_matrices=False)
+    assume(L.m <= dense.shape[1] and sig[L.m - 1] >= 0.01 * sig[0])
+    assert L.basis.lam.min() > 0.0
+    S = rng.normal(size=L.shape_in)
+    y = 2.0 * rng.normal(size=L.m)
+    S0, y0 = S.copy(), y.copy()
+    r0 = float(np.linalg.norm(y - L.forward(S)))
     epsilon = {"zero": 0.0, "feasible": r0 * (1.0 + frac), "infeasible": r0 * frac}[regime]
 
-    P = l2ball_project_svd(S, Y, core, epsilon, (U, sig, Vt))
+    P = l2ball_project_eig(S, y, L, epsilon)
     np.testing.assert_array_equal(S, S0)
-    np.testing.assert_array_equal(Y, Y0)
+    np.testing.assert_array_equal(y, y0)
     if regime == "feasible":
         np.testing.assert_array_equal(P, S)
+        assert P is not S
         return
     oracle = kkt_ball_projection(
-        np.kron(np.eye(rho), A), S.ravel(order="F"), Y.ravel(order="F"), epsilon
-    ).reshape(n1, rho, order="F")
+        dense, S.ravel(order="F"), y, epsilon).reshape(L.shape_in, order="F")
     assert np.max(np.abs(P - oracle)) <= 1e-8 * max(1.0, float(np.max(np.abs(oracle))))
-    assert np.linalg.norm(Y - A @ P) <= epsilon + 1e-9 * (np.linalg.norm(Y) + 1.0)
+    assert np.linalg.norm(y - L.forward(P)) <= epsilon + 1e-9 * (np.linalg.norm(y) + 1.0)
     # variational inequality <S - P, X - P> <= 0 over feasible points X: the
-    # minimum-norm solution A^+ (Y - E) with ||E|| <= epsilon, plus any
-    # null-space part. Rounding scales with the largest of the three points
-    # (a tiny S can have a huge correction when sigma_min is small).
+    # minimum-norm solution L^+ (y - E) with ||E|| <= epsilon, plus any
+    # null-space part. Rounding scales with the largest of the three points.
     pinv = Vt.T @ (U.T / sig[:, None])
+    s, p = S.ravel(order="F"), P.ravel(order="F")
     for _ in range(5):
-        E = rng.normal(size=Y.shape)
+        E = rng.normal(size=L.m)
         E *= epsilon * rng.uniform() / max(np.linalg.norm(E), 1e-300)
-        Z = rng.normal(size=S.shape)
-        X = pinv @ (Y - E) + Z - pinv @ (A @ Z)
-        scale = max(np.sum(S * S), np.sum(P * P), np.sum(X * X))
-        assert np.sum((S - P) * (X - P)) <= 1e-9 * scale
+        Z = rng.normal(size=s.size)
+        X = pinv @ (y - E) + Z - pinv @ (dense @ Z)
+        scale = max(s @ s, p @ p, X @ X)
+        assert np.dot(s - p, X - p) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("space", ["cube", "sources"])
+def test_eig_ball_is_accurate_on_ill_conditioned_cores(space):
+    # square gaussian cores, condition numbers up to ~1e3: at epsilon = 0
+    # the projection is s + pinv(A) (Y - A s) per column. The core's
+    # eigenpairs come from its SVD; eigh(A A^T) would square the
+    # condition number and miss this bound
+    conds = []
+    for seed in range(30):
+        n1 = 8 + seed
+        H = MixingMatrix(np.eye(2))
+        scheme = "uniform" if space == "cube" else "decorrelating"
+        op = make_sampling_operator(scheme, "gaussian", n1, 2, seed=seed, m_hat=n1,
+                                    mixing=H)
+        L = op if space == "cube" else SourceSpaceMap(op, H)
+        A = op.core.as_matrix()
+        rng = np.random.default_rng(seed)
+        S, Y = rng.normal(size=(n1, 2)), rng.normal(size=(n1, 2))
+        P = l2ball_project_eig(S, Y.ravel(order="F"), L, 0.0)
+        want = S + np.linalg.pinv(A) @ (Y - A @ S)
+        assert np.linalg.norm(P - want) <= 1e-11 * np.linalg.norm(want)
+        sig = np.linalg.svd(A, compute_uv=False)
+        conds.append(sig[0] / sig[-1])
+    assert max(conds) > 500.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -585,7 +628,7 @@ def test_fb_ball_satisfies_the_variational_inequality(m, extra, seed, regime, fr
     assert converged
     assert np.linalg.norm(y - A @ P) <= epsilon + 1e-9 * (np.linalg.norm(y) + 1.0)
     # <s - P, X - P> <= 0 over feasible X = A^+ (y - E) + (I - A^+ A) Z
-    # with ||E|| <= epsilon, as in the SVD projection's test
+    # with ||E|| <= epsilon, as in the Gram-basis projection's test
     pinv = Vt.T @ (U.T / sig[:, None])
     for _ in range(5):
         E = rng.normal(size=m)

@@ -13,6 +13,7 @@ from csskit.operators import (
     decorrelate_measurements,
     make_core_operator,
     make_sampling_operator,
+    operator_norm,
 )
 from csskit.proximal import l2ball_project_fb, simplex_project_rows, tv_norm
 from csskit.scenes import SceneSpec, accuracy, generate_scene, reconstruction_snr
@@ -393,15 +394,16 @@ def test_iht_default_step_is_exact_on_a_decorrelating_non_tight_map():
 
 def test_iht_default_step_is_exact_on_a_uniform_source_map():
     # H (x) A composed with orthonormal wavelets: ||M|| = sigma_max(H)
-    # sigma_max(A), each squared norm the top eigenvalue of its factor's Gram
+    # sigma_max(A), each squared singular value the top eigenvalue of its
+    # factor's Gram, from the same SVDs as the map's Gram basis
     scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=4))
     op = make_sampling_operator("uniform", "gaussian", 256, 8, seed=9, m_hat=64,
                                 mixing=scene.mixing)
     y = op.forward(scene.cube.data)
     problem = RecoveryProblem(noiseless(y), op, Wavelet2D(16, 16), 2, mixing=scene.mixing)
     H, A = scene.mixing.data, op.core.as_matrix()
-    sig_h2 = np.linalg.eigh(H @ H.T)[0][-1]
-    sig_a2 = np.linalg.eigh(A @ A.T)[0][-1]
+    sig_h2 = np.square(np.linalg.svd(H)[1][0])
+    sig_a2 = np.square(np.linalg.svd(A, full_matrices=False)[1][0])
     assert sig_h2 * sig_a2 == pytest.approx(
         (np.linalg.norm(H, 2) * np.linalg.norm(A, 2)) ** 2, rel=1e-12)
     config = SolverConfig(max_iters=8, iht_k=40, rel_tol=0.0)
@@ -410,6 +412,91 @@ def test_iht_default_step_is_exact_on_a_uniform_source_map():
         config, gamma_step=1.0 / (sig_h2 * sig_a2)))
     assert default.s_hat.tobytes() == fixed.s_hat.tobytes()
     assert default.trace == fixed.trace
+
+
+def _ball_route(L, monkeypatch):
+    """The projection ``_ball_machinery`` sends L's ball to, with its
+    ``(norm_sq, exact)``; one projection of a point off the ball is run."""
+    called = []
+    for name in ("l2ball_project_tightframe", "l2ball_project_eig", "l2ball_project_fb"):
+        def spy(*args, _name=name, _original=getattr(solvers, name)):
+            called.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(solvers, name, spy)
+    y = 3.0 * np.random.default_rng(0).normal(size=L.m)
+    norm_sq, exact, project = solvers._ball_machinery(
+        L, y, 0.1, SolverConfig(ball_max_iters=5), set())
+    project(np.zeros(L.shape_in))
+    (route,) = called
+    return route, norm_sq, exact
+
+
+def test_ball_routing_reads_the_map_structure(det_scene, monkeypatch):
+    H = det_scene.mixing  # n2 = 4 channels, rho = 2
+    square = MixingMatrix(H.data[:2])
+
+    def cube_map(scheme, kind="gaussian", mixing=H):
+        sizes = {"m": 48} if scheme == "dense" else {"m_hat": 16}
+        return make_sampling_operator(scheme, kind, 64, mixing.n2, seed=21, mixing=mixing,
+                                      **sizes)
+
+    def source_map(scheme, kind="gaussian", mixing=H):
+        return SourceSpaceMap(cube_map(scheme, kind, mixing), mixing)
+
+    # a gaussian core with a duplicated row: its basis has an exact zero
+    core = make_core_operator("gaussian", 16, 64, seed=21)
+    core._mat[1] = core._mat[0]
+    deficient = SourceSpaceMap(SamplingOperator("decorrelating", core, 64, 4, mixing=H), H)
+    assert deficient.basis.lam.min() == 0.0
+    cases = [
+        (source_map("decorrelating", RC), "l2ball_project_tightframe"),
+        (cube_map("uniform", RC), "l2ball_project_tightframe"),
+        (source_map("decorrelating"), "l2ball_project_eig"),
+        (cube_map("uniform"), "l2ball_project_eig"),
+        (source_map("uniform", mixing=square), "l2ball_project_eig"),
+        (source_map("uniform", RC, mixing=square), "l2ball_project_eig"),
+        (source_map("uniform"), "l2ball_project_fb"),
+        (source_map("uniform", RC), "l2ball_project_fb"),
+        (source_map("dense"), "l2ball_project_fb"),
+        (cube_map("dense"), "l2ball_project_fb"),
+        (deficient, "l2ball_project_fb"),
+    ]
+    for L, want in cases:
+        route, norm_sq, exact = _ball_route(L, monkeypatch)
+        assert route == want
+        if L.basis is not None:
+            # nu on the tight frames is max(lam) too
+            assert exact and norm_sq == float(L.basis.lam.max())
+        else:
+            assert not exact
+        monkeypatch.undo()
+
+
+def test_power_iteration_runs_only_where_its_estimate_is_used(det_scene, monkeypatch):
+    # on a Kronecker map FB's step is the only use of the estimate, so IHT
+    # (exact norm from the basis) never runs it; IHT's step on the dense
+    # map needs it up front
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return operator_norm(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "operator_norm", spy)
+    scene = det_scene
+    wav = Wavelet2D(8, 8)
+    for scheme, sizes, iht_calls in [("uniform", {"m_hat": 24}, 0), ("dense", {"m": 96}, 1)]:
+        op = make_sampling_operator(scheme, "gaussian", 64, 4, seed=21,
+                                    mixing=scene.mixing, **sizes)
+        problem = RecoveryProblem(noiseless(op.forward(scene.cube.data)), op, wav, 2,
+                                  prior="l1-wavelet", mixing=scene.mixing)
+        calls.clear()
+        iht_ss_solve(problem, SolverConfig(max_iters=3, iht_k=20))
+        assert len(calls) == iht_calls
+        calls.clear()
+        ppxa_solve(problem, SolverConfig(max_iters=3, rel_tol=0.0))
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scheme", ["dense", "uniform"])
