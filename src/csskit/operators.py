@@ -314,12 +314,6 @@ class _KronMap:
             return self.M @ (self.M.T @ v)
         return self.basis.back(self.basis.lam * self.basis.to(v))
 
-    def y_as_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Unstack a measurement vector into its ``(m_hat, columns)`` matrix."""
-        if self.M is not None:
-            raise ValueError("dense measurements have no matrix layout")
-        return np.asarray(y, dtype=np.float64).reshape(self.core.m_hat, -1, order="F")
-
 
 class SamplingOperator(_KronMap):
     """Scheme-tagged acquisition map from an ``(n1, n2)`` cube to a

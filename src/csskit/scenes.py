@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .model import HsiCube, MixingMatrix, SourceMatrix, mix
 from .solvers import harden_sources
@@ -160,12 +159,36 @@ def _blend_to_target(H0: np.ndarray, target: float) -> np.ndarray:
     return (1.0 - hi) * H0 + hi * common
 
 
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable gaussian blur with edge-replicated borders.
+
+    The same bytes as ``scipy.ndimage.gaussian_filter(image, sigma,
+    mode="nearest")``: weights truncated at four sigma, axis 0 then axis 1,
+    each output summed as its symmetric correlation does, centre tap first,
+    then the outermost pair of taps inward.
+    """
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    out = np.asarray(image, dtype=np.float64)
+    for _ in range(2):  # axis 0, then axis 1 by way of the transpose
+        x = np.pad(out, ((r, r), (0, 0)), mode="edge")
+        n = out.shape[0]
+        acc = w[r] * x[r:r + n]
+        for j in range(r, 0, -1):
+            acc += (x[r - j:r - j + n] + x[r + j:r + j + n]) * w[r - j]
+        out = acc.T
+    return out
+
+
 def generate_scene(spec: SceneSpec) -> Scene:
     """Deterministic scene from a spec: (sources, labels, mixing, cube).
 
     Disjoint scenes have one-hot source rows following the partition;
-    non-disjoint scenes gaussian-soften the indicators and renormalize, so
-    rows stay on the simplex without being vertices. Spectra are generated
+    non-disjoint scenes blur each source's indicator image with a gaussian
+    of width ``min(rows, cols) / 8`` (edge-replicated borders, see
+    :func:`_gaussian_blur`) and renormalize, so rows stay on the simplex
+    without being vertices. Spectra are generated
     (or loaded from CSV) and optionally blended to a target condition
     number; the mixing is validated full rank.
     """
@@ -181,9 +204,8 @@ def generate_scene(spec: SceneSpec) -> Scene:
     else:
         sigma = _BLUR_FRACTION * min(spec.rows, spec.cols)
         soft = np.stack(
-            [ndimage.gaussian_filter(
-                indicators[:, j].reshape(spec.rows, spec.cols), sigma,
-                mode="nearest").ravel()
+            [_gaussian_blur(
+                indicators[:, j].reshape(spec.rows, spec.cols), sigma).ravel()
              for j in range(spec.rho)], axis=1)
         soft = np.clip(soft, 0.0, None)
         soft /= soft.sum(axis=1, keepdims=True)

@@ -5,12 +5,15 @@ the measured quantities (visible with ``pytest -s`` or on failure). The
 solver settings mirror the worked examples in the README.
 """
 
+import collections
 import itertools
 import math
 import time
 
 import numpy as np
+import pytest
 
+from csskit import experiments
 from csskit.bounds import empirical_rip, theorem1_constants
 from csskit.experiments import ExperimentConfig, run_experiment
 from csskit.model import MixingMatrix
@@ -43,6 +46,25 @@ SCENE_CFG = SolverConfig(beta=0.05, max_iters=400, rel_tol=1e-9,
 
 def report(num, name, ok, detail):
     print(f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+
+
+def flag_counts(results):
+    """The solves' flags as ``name xcount``, for the criterion readings."""
+    counts = collections.Counter(f for r in results for f in r.flags)
+    return ", ".join(f"{f} x{n}" for f, n in sorted(counts.items())) or "none"
+
+
+@pytest.fixture
+def ppxa_results(monkeypatch):
+    """Records the result of every ``ppxa_solve`` call ``run_experiment`` makes."""
+    results = []
+
+    def recording(problem, config):
+        results.append(ppxa_solve(problem, config))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "ppxa_solve", recording)
+    return results
 
 
 def noiseless(y):
@@ -110,7 +132,7 @@ def test_criterion_02_tight_frame_and_ball_projection():
     assert worst_ball <= 1e-8
 
 
-def test_criterion_03_exact_recovery_at_rate_one_quarter():
+def test_criterion_03_exact_recovery_at_rate_one_quarter(ppxa_results):
     rows = run_experiment(ExperimentConfig(
         scene=SceneSpec(16, 16, channels=8, rho=2, seed=0),
         scheme="decorrelating", method="ppxa-tv", rates=(0.25,),
@@ -121,7 +143,7 @@ def test_criterion_03_exact_recovery_at_rate_one_quarter():
     ok = wins >= 9 and slowest < 60.0
     report(3, "exact recovery, decorrelating + tv, rate 1/4", ok,
            f"{wins}/10 trials at accuracy 1.0 and >=60 dB, "
-           f"slowest {slowest:.1f}s")
+           f"slowest {slowest:.1f}s; flags: {flag_counts(ppxa_results)}")
     assert wins >= 9
     assert slowest < 60.0
 
@@ -158,8 +180,11 @@ def test_criterion_05_conditioning_robustness():
         y = op.forward(np.asarray(scene.cube.data))
         problem = RecoveryProblem(noiseless(y), op, wav, 2, prior="tv",
                                   constraints=True, mixing=scene.mixing)
-        return accuracy(scene.labels, ppxa_solve(problem, SCENE_CFG).s_hat)
+        result = ppxa_solve(problem, SCENE_CFG)
+        results[scheme].append(result)
+        return accuracy(scene.labels, result.s_hat)
 
+    results = {"decorrelating": [], "uniform": []}
     acc_dec = {}
     acc_uni = {}
     for xi in (1.5, 10.0, 50.0):
@@ -174,12 +199,14 @@ def test_criterion_05_conditioning_robustness():
     ok = drift <= 0.05 and drop >= 0.1
     report(5, "conditioning robustness", ok,
            f"decorrelating drift {drift:.3f}, uniform drop {drop:.3f} "
-           f"(uniform {acc_uni[1.5]:.3f} -> {acc_uni[50.0]:.3f})")
+           f"(uniform {acc_uni[1.5]:.3f} -> {acc_uni[50.0]:.3f}); flags: "
+           f"decorrelating {flag_counts(results['decorrelating'])}, "
+           f"uniform {flag_counts(results['uniform'])}")
     assert drift <= 0.05
     assert drop >= 0.1
 
 
-def test_criterion_06_noise_robustness():
+def test_criterion_06_noise_robustness(ppxa_results):
     rows = run_experiment(ExperimentConfig(
         scene=SceneSpec(16, 16, channels=8, rho=2, seed=0),
         scheme="decorrelating", method="ppxa-tv", rates=(0.25,),
@@ -188,7 +215,7 @@ def test_criterion_06_noise_robustness():
     ok = row.reconstruction_snr_db >= 25.0 and row.accuracy >= 0.95
     report(6, "noise robustness at 30 dB sampling snr", ok,
            f"reconstruction {row.reconstruction_snr_db:.1f} dB, "
-           f"accuracy {row.accuracy:.3f}")
+           f"accuracy {row.accuracy:.3f}; flags: {flag_counts(ppxa_results)}")
     assert row.reconstruction_snr_db >= 25.0
     assert row.accuracy >= 0.95
 

@@ -1,10 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+import csskit
 from csskit.io import write_spectra
 from csskit.model import RankDeficient, normalize_mixing, validate_sources
 from csskit.scenes import (
+    PARTITIONS,
     SceneSpec,
+    _gaussian_blur,
     accuracy,
     generate_scene,
     reconstruction_snr,
@@ -74,6 +85,78 @@ def test_non_disjoint_scene_softens_rows():
     # softening must leave interior rows off the simplex vertices
     assert np.sum(S.max(axis=1) < 0.99) > 10
     assert validate_sources(scene.sources).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    sigma=st.one_of(st.floats(0.05, 12.0), st.none()),
+    indicator=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(3, 5), sigma=12.0, indicator=False, seed=0)  # radius 48 > both sides
+@example(shape=(1, 1), sigma=0.05, indicator=True, seed=1)  # radius 0
+def test_gaussian_blur_matches_scipy_bytes(shape, sigma, indicator, seed):
+    if sigma is None:  # the scenes' own softening width
+        sigma = min(shape) / 8
+    rng = np.random.default_rng(seed)
+    image = (rng.random(shape) < 0.5).astype(np.float64) if indicator else rng.normal(size=shape)
+    want = ndimage.gaussian_filter(image, sigma, mode="nearest")
+    got = _gaussian_blur(image, sigma)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("partition", PARTITIONS)
+@pytest.mark.parametrize("side", [8, 16])
+def test_non_disjoint_scene_keeps_the_scipy_bytes(side, partition):
+    scene = generate_scene(SceneSpec(side, side, channels=5, rho=3, partition=partition,
+                                     disjoint=False, seed=side))
+    onehot = np.eye(3)[scene.labels]
+    soft = np.stack([ndimage.gaussian_filter(onehot[..., j], side / 8, mode="nearest").ravel()
+                     for j in range(3)], axis=1)
+    soft = np.clip(soft, 0.0, None)
+    soft /= soft.sum(axis=1, keepdims=True)
+    assert scene.sources.data.tobytes() == soft.tobytes()
+
+
+# runs in a fresh interpreter where every scipy import raises ImportError
+_WITHOUT_SCIPY = """
+import json, math, sys
+sys.modules["scipy"] = None
+from csskit.cli import main
+from csskit.experiments import ExperimentConfig, run_experiment
+from csskit.scenes import SceneSpec, generate_scene
+from csskit.solvers import SolverConfig
+
+out = sys.argv[1]
+spec = dict(rows=8, cols=8, channels=4, rho=2, disjoint=False, seed=1)
+assert not generate_scene(SceneSpec(**spec)).sources.disjoint
+rows = run_experiment(ExperimentConfig(
+    scene=SceneSpec(**spec), scheme="decorrelating", method="ppxa-tv", rates=(0.5,),
+    snrs_db=(math.inf,), trials=1, seed=0, solver=SolverConfig(max_iters=5)))
+assert len(rows) == 1 and rows[0].iterations == 5
+with open(f"{out}/spec.json", "w") as f:
+    json.dump(spec, f)
+assert main(["generate", "--spec", f"{out}/spec.json", "--out", out]) == 0
+assert main(["sample", "--cube", f"{out}/cube.f64", "--spectra", f"{out}/spectra.csv",
+             "--scheme", "decorrelating", "--rate", "0.5", "--out", out]) == 0
+assert main(["recover", "--measurements", f"{out}/measurements.f64",
+             "--method", "ppxa-l1", "--out", out]) == 0
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+assert not loaded, loaded
+"""
+
+
+def test_package_runs_with_scipy_blocked(tmp_path):
+    src = str(Path(csskit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "result.json").exists()
 
 
 @pytest.mark.parametrize("target", [1.5, 10.0, 50.0])

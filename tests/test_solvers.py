@@ -249,7 +249,7 @@ def test_scheme_equivalence_postprocessed_uniform_vs_decorrelating(desk_scene):
         "decorrelating", RC, 256, 6, seed=15, m_hat=64, mixing=scene.mixing
     )
     Y_star, _ = decorrelate_measurements(
-        uni.y_as_matrix(uni.forward(scene.cube.data)), scene.mixing
+        uni.forward(scene.cube.data).reshape(64, -1, order="F"), scene.mixing
     )
     y_direct = dec.forward(scene.cube.data)
     wav = Wavelet2D(16, 16)
@@ -675,7 +675,7 @@ def test_l1_ss_decoupled_path_matches_joint_solve():
     wav = Wavelet2D(16, 16)
     cfg = SolverConfig(beta=0.1, max_iters=2000, rel_tol=1e-9)
     joint = l1_ss_synthesis_solve(y, op, scene.mixing, wav, 0.0, cfg)
-    Y = op.y_as_matrix(y)
+    Y = y.reshape(64, -1, order="F")
     for j in range(2):
         H_j = MixingMatrix(scene.mixing.data[:, [j]])
         op_j = make_sampling_operator(
