@@ -295,6 +295,46 @@ def l2ball_project_eig(s, y, op, epsilon):
     return s + op.adjoint(basis.back(mu * c / (1.0 + mu * lam)))
 
 
+def _fb_noiseless_capped(c, lam, sigma, ss, max_iters, tol):
+    """The dual iterate that FB's epsilon = 0 loop in a Gram eigenbasis
+    returns at its cap, when no step of that loop can pass the stop test;
+    None when one might.
+
+    ``c = to(op(s)) - to(y)`` and ``lam`` are the loop's coordinates,
+    ``ss = ||s||^2``. With ``r = 1 - sigma*lam``, each step is the affine
+    ``v_{k+1} = r v_k + sigma c``, so from ``v_0 = 0`` the loop reaches
+    ``v_K = sigma c S_K`` with ``S_K = sum_{i<K} r^i``: Landweber's filter
+    factors (Landweber 1951), summed here by binary doubling in log2(K)
+    vector steps. For ``|r| <= 1`` (``sigma * max(lam) < 2``) the squared
+    step ``du_k = ||u_k - u_{k-1}||^2 = sigma^2 sum lam c^2 r^(2(k-1))``
+    never increases, and every ``||u_j||`` with ``j < K`` is at most
+    ``||s|| + sigma sqrt(sum lam c^2 max(S_K, 1)^2) = sqrt(UB)``. So
+    ``du_{K-1} >= 4 tol^2 max(UB, 1)`` proves that the test ``sqrt(du_k) <
+    tol * max(||u_{k-1}||, 1)`` fails at every step, with a factor 2 in the
+    norms to spare for the loop's rounding; it holds trivially for
+    ``tol <= 0`` or ``max_iters <= 1``, where the test never passes.
+    """
+    K = max(int(max_iters), 0)
+    r = 1.0 - sigma * lam
+    S = np.zeros_like(r)  # S_n, from n = 0
+    p = np.ones_like(r)  # r^n
+    for bit in format(K, "b"):
+        # n -> 2n: S_2n = S_n (1 + r^n); then n -> n + 1: S_n+1 = 1 + r S_n
+        S *= 1.0 + p
+        p *= p
+        if bit == "1":
+            S = 1.0 + r * S
+            p *= r
+    if K >= 2 and tol > 0:
+        dv = sigma * c * r ** (K - 2)  # v_{K-1} - v_{K-2}
+        du = float(np.dot(dv, lam * dv))
+        w = sigma * c * np.maximum(S, 1.0)
+        ub = (math.sqrt(ss) + math.sqrt(float(np.dot(w, lam * w)))) ** 2
+        if not du >= 4.0 * tol * tol * max(ub, 1.0):
+            return None
+    return sigma * c * S
+
+
 def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     """Projection onto {x : ||y - op(x)|| <= epsilon} by dual forward-backward.
 
@@ -326,6 +366,16 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     the iterates and the stop test are the same to rounding. Other
     operators apply ``op.gram`` when they have one (the dense maps:
     ``M (M^T v)``), else ``op(op^T v)``.
+
+    On a map with a basis, ``sigma * max(lam) >= 2`` (an ``op_norm`` that
+    underestimates ||op|| by more than a factor sqrt(2)) raises
+    ``ValueError``: the loop cannot converge there. At ``epsilon == 0``
+    each step in the basis is affine and elementwise, so the capped iterate
+    has a closed form; when it also proves that no step can pass the stop
+    test (see ``_fb_noiseless_capped``), the call returns the capped point
+    ``s - op^T back(v_K)`` with ``converged`` False, without the loop. The
+    maps without a basis and ``epsilon > 0`` always run the loop, as does a
+    call whose loop might stop early.
     """
     s = np.asarray(s, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -336,10 +386,15 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
         from .operators import operator_norm
 
         op_norm = operator_norm(op, s.shape)
+    sigma = 1.0 / max(op_norm**2, 1e-30)
     basis = getattr(op, "basis", None)
     if basis is not None:
         b, y = basis.to(b), basis.to(y)
         lam = basis.lam
+        if not sigma * lam.max() < 2.0:
+            raise ValueError(
+                f"dual step {sigma:.6g} times ||op||^2 = {lam.max():.6g} is not "
+                "below 2: op_norm underestimates ||op|| too far to converge")
 
         def gram(v):
             return lam * v
@@ -348,9 +403,12 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
         if gram is None:
             def gram(v):
                 return op.forward(op.adjoint(v))
-    sigma = 1.0 / max(op_norm**2, 1e-30)
     ss = float(np.vdot(s, s))
     c = b - y
+    if basis is not None and epsilon == 0.0:
+        v = _fb_noiseless_capped(c, lam, sigma, ss, max_iters, tol)
+        if v is not None:
+            return s - op.adjoint(basis.back(v)), False
     v = np.zeros_like(y)
     Gv = np.zeros_like(y)  # G applied to v = 0
     prev = None

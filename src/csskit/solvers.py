@@ -166,7 +166,10 @@ def _ball_machinery(L, y, epsilon, config, flags):
       on a map with a basis (``H (x) A`` with ``n2 > rho``, a rank-deficient
       core) and the estimate on the dense maps. A projection that stops at
       ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to
-      ``flags``.
+      ``flags``. At ``epsilon == 0`` on a map with a basis each FB step is
+      affine and elementwise, so a call whose loop provably runs to its cap
+      returns that capped point in closed form, flagged the same; the
+      dense maps and ``epsilon > 0`` run the loop.
     """
     if L.nu is not None:
         return L.nu, True, lambda S: l2ball_project_tightframe(S, y, L, epsilon, L.nu)
@@ -379,7 +382,8 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         notify(it, 1, theta)
         theta = hard_threshold_topk(theta.ravel(order="F"), k).reshape(shape, order="F")
         notify(it, 2, theta)
-        fro = np.linalg.norm(theta)
+        with np.errstate(over="ignore"):
+            fro = np.linalg.norm(theta)
         if not math.isfinite(fro):
             # squared norms overflow before the iterate itself goes non-finite,
             # and nan scaling would crash the svd; bail out as diverged

@@ -16,6 +16,7 @@ from csskit.operators import (
 )
 from csskit.proximal import (
     TV_DUAL_STEP,
+    _fb_noiseless_capped,
     hard_threshold_topk,
     l2ball_project_eig,
     l2ball_project_fb,
@@ -813,6 +814,108 @@ def test_fb_ball_on_a_kronecker_map_runs_the_core_twice(max_iters):
     assert not converged
     want, _ = reference_l2ball_project_fb(s, y, L, 0.0, max_iters, 0.0, norm)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(s))
+
+
+@st.composite
+def noiseless_kron_problems(draw):
+    """``(L, s, y)``: the uniform source map ``H (x) A`` with ``n2 > rho``
+    on a random core kind and shape, whose Gram basis has zero eigenvalues,
+    a point, and measurements on or off the map's range."""
+    kind = draw(st.sampled_from(["gaussian", "bernoulli", "random-convolution"]))
+    n1 = 2 ** draw(st.integers(2, 5))
+    rho = draw(st.integers(1, 3))
+    n2 = draw(st.integers(rho + 1, 5))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    H = MixingMatrix(0.5 * rng.normal(size=(n2, rho)) + 2.0 * np.eye(n2, rho))
+    m_hat = max(1, int(draw(st.floats(0.05, 1.0)) * n1))
+    op = make_sampling_operator("uniform", kind, n1, n2, seed=seed, mixing=H, m_hat=m_hat)
+    L = SourceSpaceMap(op, H)
+    s = rng.normal(size=L.shape_in)
+    if draw(st.booleans()):
+        y = L.forward(rng.uniform(size=L.shape_in))
+    else:
+        y = 2.0 * rng.normal(size=L.m)
+    return L, s, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=noiseless_kron_problems(), max_iters=st.integers(0, 400),
+       tol=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_fb_ball_noiseless_closed_form_matches_the_primal_form(case, max_iters, tol):
+    # at epsilon = 0 on a map with a basis FB may skip its loop; whether it
+    # does or not, it returns the primal form's point and flag
+    L, s, y = case
+    s0, y0 = s.copy(), y.copy()
+    norm = operator_norm(L, L.shape_in)
+    got, converged = l2ball_project_fb(s, y, L, 0.0, max_iters, tol, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, 0.0, max_iters, tol, norm)
+    np.testing.assert_array_equal(s, s0)
+    np.testing.assert_array_equal(y, y0)
+    assert converged == want_converged
+    scale = max(np.linalg.norm(s), np.linalg.norm(want), 1.0)
+    assert np.linalg.norm(got - want) <= 1e-10 * scale
+
+
+def _noiseless_coordinates(L, s, y, norm):
+    """``(c, lam, sigma, ss)`` as ``l2ball_project_fb`` forms them at
+    epsilon = 0 on a map with a basis."""
+    basis = L.basis
+    c = basis.to(L.forward(s)) - basis.to(y)
+    return c, basis.lam, 1.0 / norm**2, float(np.vdot(s, s))
+
+
+def test_fb_noiseless_closed_form_certifies_a_uniform_solve_projection():
+    # the uniform ppxa-l1 cell of the nontight-ball benchmark: 16x16, n2 = 8,
+    # rho = 2, gaussian m_hat = 192 (384 of 1536 eigenvalues nonzero), the
+    # default cap and tolerance; the loop runs to its cap, so the closed
+    # form stands in for it
+    rng = np.random.default_rng(18)
+    H = MixingMatrix(0.5 * rng.normal(size=(8, 2)) + 2.0 * np.eye(8, 2))
+    op = make_sampling_operator("uniform", "gaussian", 256, 8, seed=4, mixing=H, m_hat=192)
+    L = SourceSpaceMap(op, H)
+    assert np.count_nonzero(L.basis.lam) == 384
+    y = L.forward(rng.uniform(size=L.shape_in))
+    s = rng.uniform(size=L.shape_in)
+    norm = operator_norm(L, L.shape_in)
+    c, lam, sigma, ss = _noiseless_coordinates(L, s, y, norm)
+    v = _fb_noiseless_capped(c, lam, sigma, ss, 200, 1e-6)
+    assert v is not None
+    got, converged = l2ball_project_fb(s, y, L, 0.0, 200, 1e-6, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, 0.0, 200, 1e-6, norm)
+    assert not converged and not want_converged
+    np.testing.assert_array_equal(got, s - L.adjoint(L.basis.back(v)))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fb_noiseless_closed_form_declines_when_the_loop_stops():
+    # y on the range of L: the loop settles well inside its cap, so the
+    # closed form gives way and the loop runs, reporting convergence
+    rng = np.random.default_rng(19)
+    H = MixingMatrix(0.5 * rng.normal(size=(4, 2)) + 2.0 * np.eye(4, 2))
+    op = make_sampling_operator("uniform", "gaussian", 16, 4, seed=2, mixing=H, m_hat=8)
+    L = SourceSpaceMap(op, H)
+    y = L.forward(rng.uniform(size=L.shape_in))
+    s = rng.uniform(size=L.shape_in)
+    norm = operator_norm(L, L.shape_in)
+    c, lam, sigma, ss = _noiseless_coordinates(L, s, y, norm)
+    assert _fb_noiseless_capped(c, lam, sigma, ss, 2000, 1e-6) is None
+    got, converged = l2ball_project_fb(s, y, L, 0.0, 2000, 1e-6, norm)
+    want, want_converged = reference_l2ball_project_fb(s, y, L, 0.0, 2000, 1e-6, norm)
+    assert converged and want_converged
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_fb_ball_rejects_a_step_it_cannot_converge_with(epsilon):
+    # op_norm at half of ||L||: sigma * ||L||^2 = 4, past the bound of 2
+    rng = np.random.default_rng(20)
+    H = MixingMatrix(0.5 * rng.normal(size=(4, 2)) + 2.0 * np.eye(4, 2))
+    op = make_sampling_operator("uniform", "gaussian", 16, 4, seed=2, mixing=H, m_hat=6)
+    L = SourceSpaceMap(op, H)
+    s, y = rng.normal(size=L.shape_in), 2.0 * rng.normal(size=L.m)
+    with pytest.raises(ValueError, match="op_norm"):
+        l2ball_project_fb(s, y, L, epsilon, 200, 1e-6, 0.5 * np.sqrt(L.basis.lam.max()))
 
 
 def test_prox_maps_are_nonexpansive():
