@@ -21,13 +21,11 @@ from .bounds import (
 from .experiments import ExperimentConfig, ResultRow, run_experiment
 from .model import (
     HsiCube,
-    MixingDiagnostics,
     MixingMatrix,
     RankDeficient,
     SourceMatrix,
     ValidationReport,
     mix,
-    normalize_mixing,
     validate_sources,
 )
 from .operators import (
@@ -59,11 +57,9 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     bpdn_solve,
-    harden_sources,
     iht_ss_solve,
     l1_ss_synthesis_solve,
     ppxa_solve,
-    reconstruct_cube,
     tvdn_solve,
 )
 from .wavelets import Wavelet2D
@@ -79,7 +75,6 @@ __all__ = [
     "HsiCube",
     "InvalidRegime",
     "MeasurementSet",
-    "MixingDiagnostics",
     "MixingMatrix",
     "NotTightFrame",
     "RankDeficient",
@@ -101,7 +96,6 @@ __all__ = [
     "empirical_rip",
     "gamma_prime",
     "generate_scene",
-    "harden_sources",
     "hard_threshold_topk",
     "iht_ss_solve",
     "kron_rip_bound",
@@ -113,10 +107,8 @@ __all__ = [
     "make_sampling_operator",
     "measurement_bound",
     "mix",
-    "normalize_mixing",
     "operator_norm",
     "ppxa_solve",
-    "reconstruct_cube",
     "reconstruction_snr",
     "run_experiment",
     "simplex_project_rows",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MixingMatrix
+from .model import MixingMatrix, mix
 from .operators import SCHEMES, MeasurementSet, SamplingOperator, add_noise, make_sampling_operator
 from .scenes import Scene, SceneSpec, accuracy, generate_scene, reconstruction_snr
 from .solvers import (
@@ -27,7 +27,6 @@ from .solvers import (
     iht_ss_solve,
     l1_ss_synthesis_solve,
     ppxa_solve,
-    reconstruct_cube,
     tvdn_solve,
 )
 from .wavelets import Wavelet2D
@@ -140,7 +139,7 @@ def recover(method: str, mset: MeasurementSet, op: SamplingOperator, mixing: Mix
         result = solve(problem, config)
     else:
         raise ValueError(f"method must be one of {METHODS}")
-    return reconstruct_cube(result.s_hat, mixing, (wavelet.rows, wavelet.cols)), result
+    return mix(result.s_hat, mixing, (wavelet.rows, wavelet.cols)), result
 
 
 def _solve_cell(config: ExperimentConfig, scene: Scene, rate: float,

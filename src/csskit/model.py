@@ -1,4 +1,4 @@
-"""Domain types for the linear mixture model and mixing-matrix utilities.
+"""Domain types for the linear mixture model and the mixing step.
 
 The data model: a multichannel cube ``X`` of shape ``(n1, n2)`` (n1 spatial
 pixels, n2 channels) is a mixture ``X = S @ H.T`` of ``rho`` source images.
@@ -159,25 +159,6 @@ class MixingMatrix:
 
 
 @dataclass(frozen=True)
-class MixingDiagnostics:
-    """Conditioning summary of a normalized mixing matrix."""
-
-    sigma_max: float
-    sigma_min: float
-    xi: float
-    eta: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_min <= 0 or self.sigma_max < self.sigma_min:
-            raise ValueError("singular values must satisfy 0 < sigma_min <= sigma_max")
-        if self.xi < 1.0 - 1e-12:
-            raise ValueError("condition number below 1")
-        if self.eta < -1e-12:
-            raise ValueError("isometry defect must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Report-only source validation outcome."""
 
@@ -191,42 +172,23 @@ class ValidationReport:
         return not self.violations
 
 
-def mix(S: SourceMatrix, H: MixingMatrix, shape: tuple[int, int] | None = None) -> HsiCube:
+def mix(S: SourceMatrix | NDArrayF, H: MixingMatrix,
+        shape: tuple[int, int] | None = None) -> HsiCube:
     """Form the mixture cube ``X = S @ H.T``.
 
-    ``shape`` supplies the spatial ``(rows, cols)`` factorization of ``n1``;
-    it defaults to ``(n1, 1)`` since ``SourceMatrix`` carries no spatial dims.
+    ``S`` is a :class:`SourceMatrix` or a raw ``(n1, rho)`` array; an array
+    is not checked against the simplex, so unconstrained estimates (l1-ss)
+    mix too. The cube error of an estimate obeys ``||X - X_hat||_F <=
+    sigma_max(H) * ||S - S_hat||_F``. ``shape`` supplies the spatial
+    ``(rows, cols)`` factorization of ``n1``; it defaults to ``(n1, 1)``.
     """
-    if S.rho != H.rho:
-        raise ValueError(f"source count mismatch: S has {S.rho}, H has {H.rho}")
-    rows, cols = shape if shape is not None else (S.n1, 1)
-    if rows * cols != S.n1:
-        raise ValueError(f"shape {rows}x{cols} does not factor n1={S.n1}")
-    return HsiCube(rows, cols, H.n2, S.data @ H.data.T)
-
-
-def normalize_mixing(H: MixingMatrix | NDArrayF) -> tuple[MixingMatrix, MixingDiagnostics]:
-    """Rescale ``H`` by ``(sigma_max + sigma_min) / 2`` and report conditioning.
-
-    After normalization ``1 <= sigma_max < 2`` and ``0 < sigma_min <= 1``.
-    The returned diagnostics carry ``xi = sigma_max / sigma_min`` and the
-    isometry defect ``eta = max(1 - sigma_min**2, sigma_max**2 - 1)``.
-    """
-    if not isinstance(H, MixingMatrix):
-        H = MixingMatrix(H)  # raises RankDeficient on bad input
-    sig = H.singular_values
-    scale = float((sig[0] + sig[-1]) / 2.0)
-    H_norm = MixingMatrix(H.data / scale, names=H.names)
-    smax = float(sig[0] / scale)
-    smin = float(sig[-1] / scale)
-    diag = MixingDiagnostics(
-        sigma_max=smax,
-        sigma_min=smin,
-        xi=smax / smin,
-        eta=max(1.0 - smin**2, smax**2 - 1.0),
-        scale=scale,
-    )
-    return H_norm, diag
+    data = S.data if isinstance(S, SourceMatrix) else np.asarray(S, dtype=np.float64)
+    if data.ndim != 2 or data.shape[1] != H.rho:
+        raise ValueError(f"expected (n1, {H.rho}) sources, got shape {data.shape}")
+    rows, cols = shape if shape is not None else (data.shape[0], 1)
+    if rows * cols != data.shape[0]:
+        raise ValueError(f"shape {rows}x{cols} does not factor n1={data.shape[0]}")
+    return HsiCube(rows, cols, H.n2, data @ H.data.T)
 
 
 def validate_sources(S: NDArrayF | SourceMatrix, disjoint: bool = False) -> ValidationReport:

@@ -25,14 +25,15 @@ eigenvectors, with eigenvalues ``lam_B (x) lam_A`` (:class:`GramBasis`):
 core, whose Gram is ``nu * I``) and of the small ``B``. Rank is decided
 there, once: numerically zero eigenvalues are stored as exact zeros, so
 ``min(lam) > 0`` says ``L`` has full row rank. The dense maps have no
-basis and apply ``M (M^T v)``: an ``eigh`` of their ``m x m`` Gram costs
-more memory than it saves time, and a cached ``M M^T`` would speed up the
-dense arm that acceptance criterion 10 times as the slow reference (its
-gate: at least 5x the decorrelating arm's wall time).
+basis, and ``L L^T v`` is their ``forward(adjoint(v))``: an ``eigh`` of
+their ``m x m`` Gram costs more memory than it saves time, and a cached
+``M M^T`` would speed up the dense arm that acceptance criterion 10 times
+as the slow reference (its gate: at least 5x the decorrelating arm's wall
+time).
 
 All operators are pure deterministic functions of ``(kind, dims, seed)``
 and immutable after construction (the eigenbases are computed on first
-use and cached); ``forward``/``adjoint``/``gram`` are re-entrant.
+use and cached); ``forward``/``adjoint`` are re-entrant.
 """
 
 from __future__ import annotations
@@ -253,10 +254,7 @@ class _KronMap:
     (``rows x rows``, rows of ``B``), or None for the dense map (see the
     module docstring), the latter the full SVD's square ``U`` and ``sig^2``
     with exact zeros past ``min(B.shape)``: ``B`` is ``H`` or ``pinv(H)``,
-    of full rank by :class:`~csskit.model.MixingMatrix`'s check. ``gram``
-    applies ``L L^T`` to an ``(m,)`` vector:
-    ``back(lam * to(v))`` in the basis, ``M (M^T v)`` on the dense map
-    (``M M^T`` is never formed).
+    of full rank by :class:`~csskit.model.MixingMatrix`'s check.
     """
 
     def __init__(self, core: CoreOperator, shape_in: tuple[int, int], B=None, M=None,
@@ -304,15 +302,6 @@ class _KronMap:
         q_b, sig_b, _ = np.linalg.svd(self.B)
         lam_b = np.pad(np.square(sig_b), (0, self.B.shape[0] - sig_b.size))
         return GramBasis(lam_a, q_a, lam_b, q_b)
-
-    def gram(self, v: np.ndarray) -> np.ndarray:
-        """``L L^T v`` for an ``(m,)`` vector."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.m,):
-            raise ValueError(f"expected a measurement vector of length {self.m}")
-        if self.M is not None:
-            return self.M @ (self.M.T @ v)
-        return self.basis.back(self.basis.lam * self.basis.to(v))
 
 
 class SamplingOperator(_KronMap):
@@ -392,6 +381,8 @@ class SourceSpaceMap(_KronMap):
         mixing = mixing if mixing is not None else op.mixing
         if mixing is None:
             raise ValueError("source-space map requires a mixing matrix")
+        if mixing.n2 != op.n2:
+            raise ValueError(f"mixing has {mixing.n2} channels, operator samples {op.n2}")
         self.op = op
         self.mixing = mixing
         shape_in = (op.n1, mixing.rho)

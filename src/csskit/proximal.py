@@ -270,14 +270,19 @@ def l2ball_project_eig(s, y, op, epsilon):
     (the secular equation of a trust-region step, More & Sorensen 1983), so
     Newton's method from ``mu = 0`` climbs monotonically to the root, to
     machine precision. epsilon = 0 gives the minimum-norm affine correction,
-    the step ``c / lam``. Feasible inputs return unchanged.
+    the step ``c / lam``. Feasible inputs return unchanged. An ``op`` with
+    no basis (the dense maps) or a zero eigenvalue raises ``ValueError``.
     """
+    basis = getattr(op, "basis", None)
+    if basis is None:
+        raise ValueError("operator has no Gram eigenbasis to project in")
+    lam = basis.lam
+    if not lam.min() > 0.0:
+        raise ValueError("Gram eigenbasis has a zero eigenvalue: op lacks full row rank")
     s = np.asarray(s, dtype=np.float64)
     r = y - op.forward(s)
     if np.linalg.norm(r) <= epsilon:
         return s.copy()
-    basis = op.basis
-    lam = basis.lam
     c = basis.to(r)
     if epsilon == 0.0:
         return s + op.adjoint(basis.back(c / lam))
@@ -364,8 +369,7 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     is the elementwise ``lam * v``, and the final ``v`` is rotated back
     once before the adjoint. The rotation keeps every inner product, so
     the iterates and the stop test are the same to rounding. Other
-    operators apply ``op.gram`` when they have one (the dense maps:
-    ``M (M^T v)``), else ``op(op^T v)``.
+    operators (the dense maps) apply ``op(op^T v)``.
 
     On a map with a basis, ``sigma * max(lam) >= 2`` (an ``op_norm`` that
     underestimates ||op|| by more than a factor sqrt(2)) raises
@@ -399,10 +403,8 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
         def gram(v):
             return lam * v
     else:
-        gram = getattr(op, "gram", None)
-        if gram is None:
-            def gram(v):
-                return op.forward(op.adjoint(v))
+        def gram(v):
+            return op.forward(op.adjoint(v))
     ss = float(np.vdot(s, s))
     c = b - y
     if basis is not None and epsilon == 0.0:

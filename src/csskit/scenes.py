@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import HsiCube, MixingMatrix, SourceMatrix, mix
-from .solvers import harden_sources
 
 PARTITIONS = ("rectangles", "voronoi")
 
@@ -243,10 +242,11 @@ def reconstruction_snr(ref, est) -> float:
 
 
 def accuracy(labels: np.ndarray, S_hat) -> float:
-    """Fraction of pixels whose hardened estimate matches the label map."""
+    """Fraction of pixels whose label is the estimate's largest abundance
+    (``argmax`` per row: the lowest index wins a tie, and a row with a NaN
+    takes its first NaN)."""
     labels = np.asarray(labels)
-    hard = harden_sources(S_hat)
-    est = np.argmax(hard.data, axis=1)
+    est = np.argmax(S_hat, axis=1)
     if est.shape[0] != labels.size:
         raise ValueError("label map and estimate disagree on pixel count")
     return float(np.mean(est == labels.ravel()))

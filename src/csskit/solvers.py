@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import HsiCube, MixingMatrix, SourceMatrix
+from .model import HsiCube, MixingMatrix
 from .operators import MeasurementSet, SamplingOperator, SourceSpaceMap, operator_norm
 from .proximal import (
     hard_threshold_topk,
@@ -50,8 +50,7 @@ class SolverConfig:
     sigma_max(B) sigma_max(A), the top eigenvalue of its Gram basis; on
     the dense map with the power-iteration norm estimate inflated by 10 % so
     the step stays below the bound); iht_k is the sparsity budget of the
-    hard-thresholding solver; power_iters >= 1 runs that norm estimate,
-    which also sets the step of the iterative ball projection (FB).
+    hard-thresholding solver.
     """
 
     beta: float = 1.0
@@ -63,7 +62,6 @@ class SolverConfig:
     tv_tol: float = 1e-5
     ball_max_iters: int = 200
     ball_tol: float = 1e-6
-    power_iters: int = 50
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -76,8 +74,6 @@ class SolverConfig:
             raise ValueError("iht_k must be positive")
         if self.gamma_step is not None and self.gamma_step <= 0:
             raise ValueError("gamma_step must be positive")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,7 @@ def _ball_machinery(L, y, epsilon, config, flags):
     if basis is not None and basis.lam.min() > 0.0:
         return float(basis.lam.max()), True, lambda S: l2ball_project_eig(S, y, L, epsilon)
     # IHT's default step needs it up front only on the dense maps
-    norm_est = functools.cache(
-        lambda: operator_norm(L, L.shape_in, iters=config.power_iters))
+    norm_est = functools.cache(lambda: operator_norm(L, L.shape_in))
 
     def project(S):
         out, converged = l2ball_project_fb(
@@ -476,22 +471,3 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
                                      _l1_wavelet_prox(wavelet))
     return dataclasses.replace(result, s_hat=s_hat, theta_hat=wavelet.forward_cols(s_hat))
 
-
-def harden_sources(S_hat) -> SourceMatrix:
-    """One-hot per-pixel labels from soft abundances (argmax, lowest index wins)."""
-    S = np.asarray(S_hat.data if isinstance(S_hat, SourceMatrix) else S_hat, dtype=np.float64)
-    out = np.zeros_like(S)
-    out[np.arange(S.shape[0]), np.argmax(S, axis=1)] = 1.0
-    return SourceMatrix(out, disjoint=True)
-
-
-def reconstruct_cube(S_hat, H: MixingMatrix, shape: tuple[int, int] | None = None) -> HsiCube:
-    """Cube estimate ``S_hat @ H.T``; error obeys
-    ``||X - X_hat||_F <= sigma_max(H) * ||S - S_hat||_F``."""
-    S = np.asarray(S_hat.data if isinstance(S_hat, SourceMatrix) else S_hat, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] != H.rho:
-        raise ValueError(f"expected (n1, {H.rho}) sources")
-    rows, cols = shape if shape is not None else (S.shape[0], 1)
-    if rows * cols != S.shape[0]:
-        raise ValueError("shape does not factor the pixel count")
-    return HsiCube(rows, cols, H.n2, S @ H.data.T)

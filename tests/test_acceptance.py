@@ -16,7 +16,7 @@ import pytest
 from csskit import experiments
 from csskit.bounds import empirical_rip, theorem1_constants
 from csskit.experiments import ExperimentConfig, run_experiment
-from csskit.model import MixingMatrix
+from csskit.model import MixingMatrix, mix
 from csskit.operators import (
     MeasurementSet,
     make_core_operator,
@@ -30,7 +30,6 @@ from csskit.solvers import (
     bpdn_solve,
     iht_ss_solve,
     ppxa_solve,
-    reconstruct_cube,
     tvdn_solve,
 )
 from csskit.wavelets import Wavelet2D
@@ -326,7 +325,7 @@ def test_criterion_10_baseline_dominance():
         prior="tv", constraints=True, mixing=scene.mixing), cfg)
     wall_dec = time.perf_counter() - start
     snr_dec = reconstruction_snr(
-        scene.cube, reconstruct_cube(res_dec.s_hat, scene.mixing, (32, 32)))
+        scene.cube, mix(res_dec.s_hat, scene.mixing, (32, 32)))
 
     op_dense = make_sampling_operator("dense", "gaussian", 1024, 8, seed=5,
                                       m=1024)

@@ -164,14 +164,6 @@ def test_recover_rejects_unknown_solver_field(scene_dir, tmp_path):
     ]) == 2
 
 
-def test_recover_rejects_zero_power_iters(scene_dir, tmp_path):
-    config = write_json(tmp_path / "solver.json", {"power_iters": 0})
-    assert main([
-        "recover", "--measurements", str(scene_dir / "measurements.f64"),
-        "--method", "ppxa-tv", "--config", config, "--out", str(tmp_path),
-    ]) == 2
-
-
 def test_recover_rejects_unknown_wavelet(scene_dir, tmp_path):
     config = write_json(tmp_path / "solver.json", {"wavelet": "sinc"})
     assert main([

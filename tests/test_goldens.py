@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csskit.model import mix
 from csskit.operators import add_noise, make_sampling_operator
 from csskit.scenes import SceneSpec, accuracy, generate_scene, reconstruction_snr
 from csskit.solvers import (
@@ -38,7 +39,6 @@ from csskit.solvers import (
     iht_ss_solve,
     l1_ss_synthesis_solve,
     ppxa_solve,
-    reconstruct_cube,
     tvdn_solve,
 )
 from csskit.wavelets import Wavelet2D
@@ -107,7 +107,7 @@ def compute(method, scheme, core, family, snr_db, config):
             else:
                 res = ppxa_solve(problem, config)
         estimate = res.theta_hat if res.theta_hat is not None else res.s_hat
-        cube = reconstruct_cube(res.s_hat, scene.mixing, (ROWS, COLS))
+        cube = mix(res.s_hat, scene.mixing, (ROWS, COLS))
     acc = None if res.s_hat is None else accuracy(scene.labels, res.s_hat)
     return {
         "estimate": np.asarray(estimate).ravel().tolist(),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csskit.model import (
     HsiCube,
@@ -7,7 +9,6 @@ from csskit.model import (
     RankDeficient,
     SourceMatrix,
     mix,
-    normalize_mixing,
     validate_sources,
 )
 
@@ -81,50 +82,39 @@ def test_mix_shape_validation():
     assert mix(S, H).rows == 6  # default (n1, 1)
 
 
-def test_normalize_orthonormal_columns():
-    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 3)))
-    H_norm, diag = normalize_mixing(Q)
-    assert abs(diag.scale - 1.0) < 1e-12
-    assert abs(diag.eta) < 1e-12
-    np.testing.assert_allclose(H_norm.data, Q, rtol=1e-12)
-
-
-def test_normalize_diag_3_1():
-    H_norm, diag = normalize_mixing(np.diag([3.0, 1.0]))
-    assert diag.scale == pytest.approx(2.0, abs=1e-14)
-    np.testing.assert_allclose(H_norm.data, np.diag([1.5, 0.5]), rtol=1e-14)
-    assert diag.xi == pytest.approx(3.0, abs=1e-12)
-    assert diag.eta == pytest.approx(1.25, abs=1e-12)
-
-
-def test_normalize_random_matrix_against_svd_oracle():
-    rng = np.random.default_rng(6)
-    H = rng.normal(size=(6, 3)) + 2.0 * np.eye(6, 3)
-    H_norm, diag = normalize_mixing(H)
-    sig = np.linalg.svd(H_norm.data, compute_uv=False)
-    assert 1.0 <= sig[0] + 1e-12 and sig[0] < 2.0
-    assert 0.0 < sig[-1] <= 1.0 + 1e-12
-    assert diag.sigma_max == pytest.approx(sig[0], rel=1e-12)
-    assert diag.sigma_min == pytest.approx(sig[-1], rel=1e-12)
-    # condition number is scale invariant
-    orig = np.linalg.svd(H, compute_uv=False)
-    assert diag.xi == pytest.approx(orig[0] / orig[-1], rel=1e-10)
-
-
-def test_normalize_is_idempotent():
-    rng = np.random.default_rng(7)
-    H = rng.normal(size=(5, 2)) + np.eye(5, 2)
-    H_norm, _ = normalize_mixing(H)
-    _, diag2 = normalize_mixing(H_norm)
-    assert abs(diag2.scale - 1.0) < 1e-12
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), rho=st.integers(1, 3),
+       extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_mix_takes_sources_or_their_array(rows, cols, rho, extra, seed):
+    # the same bytes from a SourceMatrix and from its array; a wrong column
+    # count, a non-matrix or a shape that does not factor n1 is refused
+    rng = np.random.default_rng(seed)
+    n1 = rows * cols
+    S = SourceMatrix(rng.dirichlet(np.ones(rho), size=n1))
+    H = random_mixing(rng, rho + extra, rho)
+    a = mix(S, H, shape=(rows, cols))
+    b = mix(np.array(S.data), H, shape=(rows, cols))
+    assert (a.rows, a.cols, a.channels) == (b.rows, b.cols, b.channels)
+    assert a.channels == rho + extra
+    assert a.data.tobytes() == b.data.tobytes()
+    # an array is not held to the simplex
+    np.testing.assert_array_equal(mix(-S.data, H, shape=(rows, cols)).data, -a.data)
+    with pytest.raises(ValueError):
+        mix(rng.random((n1, rho + 1)), H, shape=(rows, cols))
+    with pytest.raises(ValueError):
+        mix(SourceMatrix(rng.dirichlet(np.ones(rho + 1), size=n1)), H)
+    with pytest.raises(ValueError):
+        mix(S.data[:, 0], H)
+    with pytest.raises(ValueError):
+        mix(S, H, shape=(rows, cols + 1))
+    with pytest.raises(ValueError):
+        mix(S.data, H, shape=(rows + 1, cols))
 
 
 def test_rank_deficient_rejected():
     col = np.arange(1.0, 5.0)[:, None]
     with pytest.raises(RankDeficient):
         MixingMatrix(np.hstack([col, 2.0 * col]))
-    with pytest.raises(RankDeficient):
-        normalize_mixing(np.hstack([col, 2.0 * col]))
 
 
 def test_mixing_requires_enough_channels():

@@ -282,16 +282,18 @@ def test_adjoint_dot_product(scheme, data):
 
 
 def _check_gram(L, rng):
-    # gram(v) is forward(adjoint(v)) on the map's factors, and L L^T is
-    # positive semidefinite
+    # L L^T v is forward(adjoint(v)): back(lam * to(v)) in a Kronecker map's
+    # Gram basis, and on a dense map, which has none, M (M^T v) to the byte;
+    # L L^T is positive semidefinite
     v = rng.normal(size=L.m)
     want = L.forward(L.adjoint(v))
-    got = L.gram(v)
-    assert got.shape == (L.m,)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert float(v @ got) >= 0.0
-    with pytest.raises(ValueError):
-        L.gram(rng.normal(size=L.m + 1))
+    assert want.shape == (L.m,)
+    if L.basis is None:
+        assert want.tobytes() == (L.M @ (L.M.T @ v)).tobytes()
+    else:
+        got = L.basis.back(L.basis.lam * L.basis.to(v))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert float(v @ want) >= 0.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", RC])

@@ -601,6 +601,24 @@ def test_eig_ball_is_accurate_on_ill_conditioned_cores(space):
     assert max(conds) > 500.0
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_eig_ball_rejects_maps_it_cannot_project_on(epsilon):
+    # H (x) A with n2 > rho has zero eigenvalues in its Gram basis; the
+    # dense maps and a plain forward/adjoint pair have no basis at all
+    rng = np.random.default_rng(21)
+    H = MixingMatrix(rng.normal(size=(4, 2)) + 2.0 * np.eye(4, 2))
+    uni = make_sampling_operator("uniform", "gaussian", 16, 4, seed=3, m_hat=8, mixing=H)
+    dense = make_sampling_operator("dense", "gaussian", 16, 4, seed=3, m=20, mixing=H)
+    rank_deficient = SourceSpaceMap(uni, H)
+    assert rank_deficient.basis.lam.min() == 0.0
+    plain = DenseOp(rng.normal(size=(6, 20)))
+    plain.shape_in, plain.m = (20,), 6
+    for L in (rank_deficient, dense, SourceSpaceMap(dense, H), plain):
+        S, y = rng.normal(size=L.shape_in), 3.0 * rng.normal(size=L.m)
+        with pytest.raises(ValueError):
+            l2ball_project_eig(S, y, L, epsilon)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(1, 8),
@@ -751,15 +769,12 @@ def test_fb_ball_runs_on_where_the_dual_has_a_null_space(kind):
 
 
 def test_fb_ball_applies_the_gram_once_per_step():
-    # one forward before the loop, one adjoint after it, one L L^T per step
-    # after the first (v = 0 there); an operator without gram gets
-    # forward(adjoint(v)) in its place
+    # one forward before the loop, one adjoint after it, and L L^T as
+    # forward(adjoint(v)) once per step after the first (v = 0 there)
     class CountingOp(DenseOp):
-        def __init__(self, A, with_gram):
+        def __init__(self, A):
             super().__init__(A)
-            self.calls = {"forward": 0, "adjoint": 0, "gram": 0}
-            if with_gram:
-                self.gram = self._gram
+            self.calls = {"forward": 0, "adjoint": 0}
 
         def forward(self, x):
             self.calls["forward"] += 1
@@ -769,20 +784,15 @@ def test_fb_ball_applies_the_gram_once_per_step():
             self.calls["adjoint"] += 1
             return super().adjoint(r)
 
-        def _gram(self, v):
-            self.calls["gram"] += 1
-            return self.A @ (self.A.T @ v)
-
     rng = np.random.default_rng(14)
     A = rng.normal(size=(6, 20))
     s, y = rng.normal(size=20), 3.0 * rng.normal(size=6)
     norm = float(np.linalg.norm(A, 2))
-    with_gram, plain = CountingOp(A, True), CountingOp(A, False)
-    P, _ = l2ball_project_fb(s, y, with_gram, 0.5, 30, 0.0, norm)
-    Q, _ = l2ball_project_fb(s, y, plain, 0.5, 30, 0.0, norm)
-    assert with_gram.calls == {"forward": 1, "adjoint": 1, "gram": 29}
-    assert plain.calls == {"forward": 30, "adjoint": 30, "gram": 0}
-    np.testing.assert_allclose(P, Q, rtol=0, atol=1e-12 * np.linalg.norm(s))
+    op = CountingOp(A)
+    P, _ = l2ball_project_fb(s, y, op, 0.5, 30, 0.0, norm)
+    assert op.calls == {"forward": 30, "adjoint": 30}
+    want, _ = reference_l2ball_project_fb(s, y, DenseOp(A), 0.5, 30, 0.0, norm)
+    np.testing.assert_allclose(P, want, rtol=0, atol=1e-12 * np.linalg.norm(s))
 
 
 @pytest.mark.parametrize("max_iters", [1, 7, 60])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csskit import solvers
-from csskit.model import MixingMatrix, SourceMatrix, mix, validate_sources
+from csskit.model import MixingMatrix, SourceMatrix, mix
 from csskit.operators import (
     MeasurementSet,
     SamplingOperator,
@@ -22,11 +22,9 @@ from csskit.solvers import (
     SolveResult,
     SolverConfig,
     bpdn_solve,
-    harden_sources,
     iht_ss_solve,
     l1_ss_synthesis_solve,
     ppxa_solve,
-    reconstruct_cube,
     tvdn_solve,
 )
 from csskit.wavelets import Wavelet2D
@@ -143,7 +141,7 @@ def test_ppxa_tv_quarter_rate_exact_separation(desk_scene):
                      tv_max_iters=150, tv_tol=1e-6),
     )
     assert accuracy(scene.labels, res.s_hat) == 1.0
-    xhat = reconstruct_cube(res.s_hat, scene.mixing, shape=(16, 16))
+    xhat = mix(res.s_hat, scene.mixing, shape=(16, 16))
     assert reconstruction_snr(scene.cube, xhat) >= 60.0
 
 
@@ -771,17 +769,8 @@ def test_l1_solves_match_the_synthesis_form_on_a_non_tight_map(det_scene, scheme
     assert np.max(np.abs(res.theta_hat - theta)) <= 1e-9 * np.max(np.abs(theta))
 
 
-# --- hardening and reconstruction ---------------------------------------------
-
-
-def test_harden_sources_rules():
-    S = np.array([[0.2, 0.8], [0.5, 0.5], [-1.0, -2.0]])
-    out = harden_sources(S)
-    np.testing.assert_array_equal(
-        out.data, [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
-    )
-    assert out.disjoint
-    assert validate_sources(out, disjoint=True).ok
+# --- cube reconstruction ------------------------------------------------------
+# the cube estimate of a source estimate is model.mix on its raw array
 
 
 def test_reconstruct_cube_exact_and_error_bound():
@@ -789,13 +778,13 @@ def test_reconstruct_cube_exact_and_error_bound():
     S = simplex_project_rows(rng.random((16, 2)))
     H = MixingMatrix(rng.random((5, 2)) + np.eye(5, 2))
     X = mix(SourceMatrix(S), H, shape=(4, 4))
-    xhat = reconstruct_cube(S, H, shape=(4, 4))
+    xhat = mix(S, H, shape=(4, 4))
     np.testing.assert_array_equal(xhat.data, X.data)
     assert (xhat.rows, xhat.cols, xhat.channels) == (4, 4, 5)
     sigma_max = H.singular_values[0]
     for _ in range(20):
         S_pert = S + rng.normal(scale=0.3, size=S.shape)
-        err = np.linalg.norm(X.data - reconstruct_cube(S_pert, H, shape=(4, 4)).data)
+        err = np.linalg.norm(X.data - mix(S_pert, H, shape=(4, 4)).data)
         assert err <= sigma_max * np.linalg.norm(S - S_pert) + 1e-10
 
 
@@ -804,9 +793,7 @@ def test_reconstruct_cube_rank_one_equality():
     h = MixingMatrix(rng.random((6, 1)) + 0.5)
     S = rng.random((16, 1))
     S_pert = S + rng.normal(size=S.shape)
-    err = np.linalg.norm(
-        reconstruct_cube(S, h).data - reconstruct_cube(S_pert, h).data
-    )
+    err = np.linalg.norm(mix(S, h).data - mix(S_pert, h).data)
     expected = np.linalg.norm(h.data) * np.linalg.norm(S - S_pert)
     assert err == pytest.approx(expected, rel=1e-12)
 
@@ -814,9 +801,29 @@ def test_reconstruct_cube_rank_one_equality():
 def test_reconstruct_cube_validation():
     H = MixingMatrix(np.eye(3, 2))
     with pytest.raises(ValueError):
-        reconstruct_cube(np.zeros((8, 3)), H)
+        mix(np.zeros((8, 3)), H)
     with pytest.raises(ValueError):
-        reconstruct_cube(np.zeros((8, 2)), H, shape=(3, 3))
+        mix(np.zeros((8, 2)), H, shape=(3, 3))
+
+
+@pytest.mark.parametrize("scheme", ["dense", "uniform", "decorrelating"])
+def test_source_recovery_rejects_a_mixing_with_other_channels(scheme):
+    # the operator samples n2 = 4 channels and the mixing has 6: every scheme
+    # refuses the source map instead of failing in NumPy or solving silently
+    rng = np.random.default_rng(41)
+    H4 = MixingMatrix(rng.random((4, 2)) + np.eye(4, 2))
+    H6 = MixingMatrix(rng.random((6, 2)) + np.eye(6, 2))
+    sizes = dict(m=64) if scheme == "dense" else dict(m_hat=16)
+    op = make_sampling_operator(scheme, "gaussian", 64, 4, seed=42, mixing=H4, **sizes)
+    y = rng.normal(size=op.m)
+    wav = Wavelet2D(8, 8)
+    config = SolverConfig(max_iters=2)
+    with pytest.raises(ValueError, match="channels"):
+        SourceSpaceMap(op, H6)
+    with pytest.raises(ValueError, match="channels"):
+        ppxa_solve(RecoveryProblem(noiseless(y), op, wav, 2, mixing=H6), config)
+    with pytest.raises(ValueError, match="channels"):
+        l1_ss_synthesis_solve(y, op, H6, wav, 0.0, config)
 
 
 # --- configuration and result plumbing ----------------------------------------
@@ -832,7 +839,6 @@ def test_solver_config_validation():
         dict(gamma_step=0.0),
         dict(tv_max_iters=0),
         dict(ball_max_iters=0),
-        dict(power_iters=0),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
