@@ -10,7 +10,7 @@ vec(X)``; only the dense scheme is one matrix ``M`` on ``vec(X)``:
 | --- | --- |
 | uniform cube | ``A``, ``B = None`` |
 | decorrelating cube | ``A``, ``B = pinv(H)`` |
-| decorrelating source | ``A``, ``B = None`` |
+| decorrelating source | ``A``, ``B = None``; for another mixing ``H'``, ``B = pinv(H) H'`` |
 | uniform source | ``A``, ``B = H`` |
 | dense cube | ``M``, the ``m x n1*n2`` core's array |
 | dense source | ``M = A (H (x) I_n1)``, folded once |
@@ -253,8 +253,10 @@ class _KronMap:
     from the core's cached eigenpairs of ``A A^T`` and those of ``B B^T``
     (``rows x rows``, rows of ``B``), or None for the dense map (see the
     module docstring), the latter the full SVD's square ``U`` and ``sig^2``
-    with exact zeros past ``min(B.shape)``: ``B`` is ``H`` or ``pinv(H)``,
-    of full rank by :class:`~csskit.model.MixingMatrix`'s check.
+    with exact zeros past ``min(B.shape)``. ``B`` is ``H`` or ``pinv(H)``,
+    of full rank by :class:`~csskit.model.MixingMatrix`'s check, or
+    ``pinv(H) H'`` for another mixing ``H'``, which need not be: its
+    singular values get the core's rank rule (:attr:`CoreOperator._eig`).
     """
 
     def __init__(self, core: CoreOperator, shape_in: tuple[int, int], B=None, M=None,
@@ -300,6 +302,7 @@ class _KronMap:
         if self.B is None:
             return GramBasis(lam_a, q_a, np.ones(self.shape_in[1]), None)
         q_b, sig_b, _ = np.linalg.svd(self.B)
+        sig_b[sig_b <= sig_b[0] * max(self.B.shape) * np.finfo(np.float64).eps] = 0.0
         lam_b = np.pad(np.square(sig_b), (0, self.B.shape[0] - sig_b.size))
         return GramBasis(lam_a, q_a, lam_b, q_b)
 
@@ -370,11 +373,13 @@ class SourceSpaceMap(_KronMap):
     measurements of ``op``, which would sample the cube ``S H^T``.
 
     decorrelating: the core alone, ``I_rho (x) A`` (a tight frame whenever
-    the core is). uniform: ``B = H``, so the core acts on ``rho`` columns
-    rather than ``n2``. dense: ``M = A (H (x) I_n1)``, of shape
-    ``m x n1*rho`` where ``A`` is ``m x n1*n2``, folded once per map from
-    the ``(m, n2, n1)`` view of ``A`` by one batched product with ``H^T``,
-    so each forward or adjoint does ``rho/n2`` of the cube map's work.
+    the core is), when ``H`` has the data of ``op.mixing``, ``H_op``; else
+    ``B = pinv(H_op) H``, as the operator samples ``A S H^T pinv(H_op)^T``.
+    uniform: ``B = H``, so the core acts on ``rho`` columns rather than
+    ``n2``. dense: ``M = A (H (x) I_n1)``, of shape ``m x n1*rho`` where
+    ``A`` is ``m x n1*n2``, folded once per map from the ``(m, n2, n1)``
+    view of ``A`` by one batched product with ``H^T``, so each forward or
+    adjoint does ``rho/n2`` of the cube map's work.
     """
 
     def __init__(self, op: SamplingOperator, mixing: MixingMatrix | None = None):
@@ -393,8 +398,10 @@ class SourceSpaceMap(_KronMap):
             super().__init__(op.core, shape_in, M=M)
         elif op.scheme == "uniform":
             super().__init__(op.core, shape_in, B=mixing.data)
-        else:
+        elif np.array_equal(mixing.data, op.mixing.data):
             super().__init__(op.core, shape_in, nu=op.core.nu)
+        else:
+            super().__init__(op.core, shape_in, B=op.mixing.pinv @ mixing.data)
 
 
 @dataclass(frozen=True)

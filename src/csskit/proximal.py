@@ -107,11 +107,13 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     a stack gets its own prox, computed in one loop over the whole stack.
     Iterates p <- (p + tau*grad(div p - image/lam)) / (1 + tau*|...|) and
     returns image - lam*div(p). An image stops when its relative dual change
-    drops below ``tol``; its dual field is then frozen while the others go
-    on. The ROF objective lam*TV(u) + 0.5*||u - image||^2 of each output
-    image never exceeds its value at the input (guarded explicitly). Every
-    step is elementwise or a per-image sum, so a stack gives exactly the
-    results of separate 2-D calls.
+    drops below ``tol``: its dual field at that iteration is recorded as its
+    result, and the iterates the loop goes on computing for it, while other
+    images still iterate, are discarded. The ROF objective
+    lam*TV(u) + 0.5*||u - image||^2 of each output image never exceeds its
+    value at the input (guarded explicitly). Every step is elementwise or a
+    per-image sum, so a stack gives exactly the results of separate 2-D
+    calls.
 
     ``dual``, when given, is a float64 array of shape ``(2, k, rows, cols)``
     (``(2, rows, cols)`` for one image), read as the starting dual field
@@ -138,77 +140,70 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
         return image.copy()
     stack = image.reshape((-1,) + image.shape[-2:])
     k, rows, cols = stack.shape
-    size = rows * cols
-    scaled_all = stack.reshape(k, size) / lam
-    # dual field (px, py) of every image: final for each image that stopped
-    if dual is None:
-        p_all = np.zeros((2, k, rows, cols))
-    else:
-        p_all = dual.reshape(2, k, rows, cols).copy()
+    n = stack.size
+    # each dual component is one flat vector over the stack, led by ``cols``
+    # zeros; its ignored entries stay zero, so div p is
+    # (px - px shifted by cols) + (py - py shifted by 1); the buffers and
+    # their views are built once, and the loop allocates no stack-sized array
+    bufs = np.zeros((2, 2, cols + n))
+    if dual is not None:
+        bufs[0, :, cols:] = dual.reshape(2, n)
+    cur, nxt = [(b[:, cols:], b[0, cols:], b[0, :n], b[1, cols:], b[1, cols - 1:-1])
+                for b in bufs]
+    # div p - image/lam, trailed by ``cols`` zeros for the gradient's shifts
+    d = np.zeros(n + cols)
+    dd, d_down, d_right = d[:n], d[cols:], d[1:n + 1]
+    scaled = stack.reshape(n) / lam
     # 0 on the last row (x) and the last column (y), where the gradient is 0
     mask = np.ones((2, k, rows, cols))
     mask[0, :, -1, :] = 0.0
     mask[1, :, :, -1] = 0.0
-    mask = mask.reshape(2, k * size)
-    active = np.arange(k)
-    left = int(max_iters)
-    # one pass of the outer loop per set of active images: the buffers and
-    # their views are built here, and the inner loop allocates nothing
-    while active.size and left > 0:
-        m = active.size
-        n = m * size
-        # each dual component is one flat vector over the active images, led
-        # by ``cols`` zeros; its ignored entries stay zero, so div p is
-        # (px - px shifted by cols) + (py - py shifted by 1)
-        bufs = np.zeros((2, 2, cols + n))
-        bufs[0, :, cols:] = p_all[:, active].reshape(2, n)
-        cur, nxt = [(b[:, cols:], b[0, cols:], b[0, :n], b[1, cols:], b[1, cols - 1:-1])
-                    for b in bufs]
-        # div p - image/lam, trailed by ``cols`` zeros for the gradient's shifts
-        d = np.zeros(n + cols)
-        dd, d_down, d_right = d[:n], d[cols:], d[1:n + 1]
-        scaled = scaled_all[active].reshape(n)
-        gmask = mask[:, :n]
-        t = np.empty(n)
-        g = np.empty((2, n))
-        w = np.empty((2, n))
-        g0, g1 = g
-        w0, w1 = w
-        sums = w.reshape(2, m, size)
-        norms = np.empty((2, m))
-        for _ in range(left):
-            left -= 1
-            p, px, px_up, py, py_left = cur
-            q = nxt[0]
-            np.subtract(px, px_up, out=dd)
-            np.subtract(py, py_left, out=t)
-            dd += t
-            dd -= scaled
-            np.subtract(d_down, dd, out=g0)
-            np.subtract(d_right, dd, out=g1)
-            g *= gmask
-            np.square(g, out=w)
-            denom = np.sqrt(np.add(w0, w1, out=t), out=t)
-            denom *= TV_DUAL_STEP
-            denom += 1.0
-            np.multiply(g, TV_DUAL_STEP, out=q)
-            q += p
-            q /= denom
-            # per-pixel squared dual change in w0 and squared dual norm in w1
-            np.square(np.subtract(q, p, out=g), out=g)
-            np.add(g0, g1, out=w0)
-            np.square(p, out=g)
-            np.add(g0, g1, out=w1)
-            np.add.reduce(sums, axis=2, out=norms)
-            change, base = np.sqrt(norms, out=norms).tolist()
-            cur, nxt = nxt, cur
-            # the same IEEE operations as on arrays, one image at a time
-            stop = [c / max(b, 1e-12) < tol for c, b in zip(change, base)]
-            if any(stop):
+    mask = mask.reshape(2, n)
+    t = np.empty(n)
+    g = np.empty((2, n))
+    w = np.empty((2, n))
+    g0, g1 = g
+    w0, w1 = w
+    sums = w.reshape(2, k, rows * cols)
+    norms = np.empty((2, k))
+    # dual field (px, py) of every image, recorded on the iteration its stop
+    # test passes, or after the last one while it is still iterating
+    p_all = np.empty((2, k, rows, cols))
+    live = np.ones(k, dtype=bool)
+    for _ in range(int(max_iters)):
+        p, px, px_up, py, py_left = cur
+        q = nxt[0]
+        np.subtract(px, px_up, out=dd)
+        np.subtract(py, py_left, out=t)
+        dd += t
+        dd -= scaled
+        np.subtract(d_down, dd, out=g0)
+        np.subtract(d_right, dd, out=g1)
+        g *= mask
+        np.square(g, out=w)
+        denom = np.sqrt(np.add(w0, w1, out=t), out=t)
+        denom *= TV_DUAL_STEP
+        denom += 1.0
+        np.multiply(g, TV_DUAL_STEP, out=q)
+        q += p
+        q /= denom
+        # per-pixel squared dual change in w0 and squared dual norm in w1
+        np.square(np.subtract(q, p, out=g), out=g)
+        np.add(g0, g1, out=w0)
+        np.square(p, out=g)
+        np.add(g0, g1, out=w1)
+        np.add.reduce(sums, axis=2, out=norms)
+        change, base = np.sqrt(norms, out=norms).tolist()
+        cur, nxt = nxt, cur
+        # the same IEEE operations as on arrays, one image at a time
+        stop = live & [c / max(b, 1e-12) < tol for c, b in zip(change, base)]
+        if stop.any():
+            p_all[:, stop] = cur[0].reshape(2, k, rows, cols)[:, stop]
+            live ^= stop
+            if not live.any():
                 break
-        p_all[:, active] = cur[0].reshape(2, m, rows, cols)
-        active = active[np.logical_not(stop)]
-    if flags is not None and active.size:
+    p_all[:, live] = cur[0].reshape(2, k, rows, cols)[:, live]
+    if flags is not None and live.any():
         flags.add("tv-prox-capped")
     # _div, not the flat shifts: its boundary terms (-px[-2] where the loop
     # has 0 - px[-2]) decide the sign of a zero in u

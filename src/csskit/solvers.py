@@ -80,9 +80,10 @@ class SolverConfig:
 class RecoveryProblem:
     """A source-recovery instance: measurements, acquisition, prior, wavelet.
 
-    ``mixing`` defines the source-to-cube map for the dense/uniform schemes;
-    the decorrelating scheme carries its own. ``constraints`` toggles the
-    row-simplex (nonnegativity + unit sum) constraint on the sources.
+    ``mixing`` defines the source-to-cube map ``X = S H^T`` on every scheme
+    and defaults to the operator's own; its channel count must be the
+    operator's. ``constraints`` toggles the row-simplex (nonnegativity +
+    unit sum) constraint on the sources.
     """
 
     measurements: MeasurementSet
@@ -107,6 +108,10 @@ class RecoveryProblem:
             raise ValueError("source recovery needs a mixing matrix")
         if mixing.rho != self.rho:
             raise ValueError(f"mixing has {mixing.rho} sources, expected {self.rho}")
+        if mixing.n2 != self.operator.n2:
+            raise ValueError(
+                f"mixing has {mixing.n2} channels, operator samples {self.operator.n2}"
+            )
 
     @property
     def effective_mixing(self) -> MixingMatrix | None:

@@ -242,6 +242,34 @@ def test_source_space_map_matches_composition():
         L.forward(S), dec.core.forward(S).ravel(order="F"), atol=1e-14)
 
 
+@pytest.mark.parametrize("rho", [2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", RC])
+def test_decorrelating_source_map_takes_another_mixing(kind, rho):
+    # a mixing other than the operator's reaches the data through the
+    # operator: forward is op.forward(S H'^T), adjoint its transpose
+    rng = np.random.default_rng(23)
+    H = random_mixing(rng, 4, 2)
+    op = make_sampling_operator("decorrelating", kind, 64, 4, seed=11, m_hat=16, mixing=H)
+    other = random_mixing(rng, 4, rho)
+    L = SourceSpaceMap(op, other)
+    assert L.nu is None and L.m == op.m
+    S = rng.normal(size=(64, rho))
+    want = op.forward(S @ other.data.T)
+    assert np.linalg.norm(L.forward(S) - want) <= 1e-12 * np.linalg.norm(want)
+    y = rng.normal(size=op.m)
+    want = op.adjoint(y) @ other.data
+    assert np.linalg.norm(L.adjoint(y) - want) <= 1e-12 * np.linalg.norm(want)
+    # a column outside the range of H makes B = pinv(H) H' singular, and the
+    # basis says so with an exact zero
+    outside = MixingMatrix(np.column_stack([H.data[:, 0], np.linalg.svd(H.data)[0][:, -1]]))
+    assert SourceSpaceMap(op, outside).basis.lam.min() == 0.0
+    # a copy with the same data is the own mixing: the core alone, same bytes
+    own, copy = SourceSpaceMap(op), SourceSpaceMap(op, MixingMatrix(H.data.copy()))
+    assert copy.B is None and copy.nu == own.nu == op.core.nu
+    S = rng.normal(size=(64, 2))
+    assert copy.forward(S).tobytes() == own.forward(S).tobytes()
+
+
 @st.composite
 def source_maps(draw, schemes=("dense", "uniform", "decorrelating"),
                 spaces=("cube", "sources"), kinds=("gaussian", "bernoulli", RC)):

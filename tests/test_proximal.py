@@ -185,19 +185,30 @@ TWO_SCALES = np.stack([
     tol=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.3]),
 )
 @example(stack=TWO_SCALES, lam=0.5, max_iters=100, tol=1e-3)
+# the second image stops on iteration 74: the last allowed one, then one past the cap
+@example(stack=TWO_SCALES, lam=0.5, max_iters=74, tol=1e-3)
+@example(stack=TWO_SCALES, lam=0.5, max_iters=73, tol=1e-3)
 def test_tv_prox_stack_equals_separate_calls(stack, lam, max_iters, tol):
-    got = tv_prox(stack, lam, max_iters, tol)
+    flags = set()
+    got = tv_prox(stack, lam, max_iters, tol, flags=flags)
     assert got.shape == stack.shape
     for i, image in enumerate(stack):
         single = tv_prox(image, lam, max_iters, tol)
         reference, _, _ = reference_tv_prox(image, lam, max_iters, tol)
         assert got[i].tobytes() == single.tobytes() == reference.tobytes()
+    # capped exactly when some image would still iterate past max_iters; an
+    # image that stops on the last allowed iteration does not count (the
+    # reference runs no iteration at lam = 0 or on a one-pixel image)
+    capped = any(reference_tv_prox(image, lam, max_iters + 1, tol)[1] > max_iters
+                 for image in stack)
+    assert ("tv-prox-capped" in flags) == capped
 
 
 def test_two_scale_example_stops_at_different_iterations():
-    # the premise of the @example above: one image stops long before the other
+    # the premise of the @examples above: one image stops long before the
+    # other, which stops on iteration 74
     stops = [reference_tv_prox(image, 0.5, 100, 1e-3)[1] for image in TWO_SCALES]
-    assert stops[0] != stops[1] and max(stops) < 100
+    assert stops == [10, 74]
 
 
 def unit_ball_dual(rng, shape):

@@ -809,7 +809,8 @@ def test_reconstruct_cube_validation():
 @pytest.mark.parametrize("scheme", ["dense", "uniform", "decorrelating"])
 def test_source_recovery_rejects_a_mixing_with_other_channels(scheme):
     # the operator samples n2 = 4 channels and the mixing has 6: every scheme
-    # refuses the source map instead of failing in NumPy or solving silently
+    # refuses the source map instead of failing in NumPy or solving silently,
+    # and a problem refuses it when it is built, before any solver sees it
     rng = np.random.default_rng(41)
     H4 = MixingMatrix(rng.random((4, 2)) + np.eye(4, 2))
     H6 = MixingMatrix(rng.random((6, 2)) + np.eye(6, 2))
@@ -820,8 +821,8 @@ def test_source_recovery_rejects_a_mixing_with_other_channels(scheme):
     config = SolverConfig(max_iters=2)
     with pytest.raises(ValueError, match="channels"):
         SourceSpaceMap(op, H6)
-    with pytest.raises(ValueError, match="channels"):
-        ppxa_solve(RecoveryProblem(noiseless(y), op, wav, 2, mixing=H6), config)
+    with pytest.raises(ValueError, match="6 channels, operator samples 4"):
+        RecoveryProblem(noiseless(y), op, wav, 2, mixing=H6)
     with pytest.raises(ValueError, match="channels"):
         l1_ss_synthesis_solve(y, op, H6, wav, 0.0, config)
 
