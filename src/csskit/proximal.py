@@ -169,7 +169,7 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     # dual field (px, py) of every image, recorded on the iteration its stop
     # test passes, or after the last one while it is still iterating
     p_all = np.empty((2, k, rows, cols))
-    live = np.ones(k, dtype=bool)
+    live = [True] * k
     for _ in range(int(max_iters)):
         p, px, px_up, py, py_left = cur
         q = nxt[0]
@@ -195,15 +195,16 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
         np.add.reduce(sums, axis=2, out=norms)
         change, base = np.sqrt(norms, out=norms).tolist()
         cur, nxt = nxt, cur
-        # the same IEEE operations as on arrays, one image at a time
-        stop = live & [c / max(b, 1e-12) < tol for c, b in zip(change, base)]
-        if stop.any():
+        # the same IEEE operations as on arrays, one image at a time; Python
+        # lists, so an iteration with no stop allocates no array
+        stop = [go and c / max(b, 1e-12) < tol for go, c, b in zip(live, change, base)]
+        if any(stop):
             p_all[:, stop] = cur[0].reshape(2, k, rows, cols)[:, stop]
-            live ^= stop
-            if not live.any():
+            live = [go and not s for go, s in zip(live, stop)]
+            if not any(live):
                 break
     p_all[:, live] = cur[0].reshape(2, k, rows, cols)[:, live]
-    if flags is not None and live.any():
+    if flags is not None and any(live):
         flags.add("tv-prox-capped")
     # _div, not the flat shifts: its boundary terms (-px[-2] where the loop
     # has 0 - px[-2]) decide the sign of a zero in u
