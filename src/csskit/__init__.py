@@ -36,7 +36,6 @@ from .operators import (
     SourceSpaceMap,
     add_noise,
     decorrelate_measurements,
-    make_core_operator,
     make_sampling_operator,
     operator_norm,
     verify_tight_frame,
@@ -103,7 +102,6 @@ __all__ = [
     "l2ball_project_eig",
     "l2ball_project_fb",
     "l2ball_project_tightframe",
-    "make_core_operator",
     "make_sampling_operator",
     "measurement_bound",
     "mix",

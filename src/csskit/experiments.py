@@ -33,14 +33,6 @@ from .wavelets import Wavelet2D
 
 METHODS = ("ppxa-tv", "ppxa-l1", "iht", "bpdn", "tvdn", "l1-ss")
 
-CSV_FIELDS = [
-    "rows", "cols", "channels", "rho", "partition", "disjoint", "target_xi",
-    "scheme", "core", "method", "wavelet", "rate", "snr_db", "trial", "seed",
-    "reconstruction_snr_db", "source_snr_db", "accuracy", "iterations",
-    "converged", "diverged",
-]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment grid: scene x scheme x method over rates/SNRs/trials.
@@ -100,6 +92,10 @@ class ResultRow:
     iterations: int
     converged: bool
     diverged: bool
+
+
+# every row field but the wall time, in row order
+CSV_FIELDS = [f.name for f in dataclasses.fields(ResultRow) if f.name != "wall_time_s"]
 
 
 def _cell_seeds(config: ExperimentConfig, i_rate: int, i_snr: int, trial: int):

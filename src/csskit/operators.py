@@ -168,11 +168,6 @@ class CoreOperator:
         return self._scale * c[idx]
 
 
-def make_core_operator(kind: str, m_hat: int, n1: int, seed: int) -> CoreOperator:
-    """Construct the core sampling operator for ``(kind, m_hat, n1, seed)``."""
-    return CoreOperator(kind, m_hat, n1, seed)
-
-
 def verify_tight_frame(core, tol: float = 1e-8) -> float:
     """Probe forward(adjoint(.)) on all output-space basis vectors.
 

@@ -113,7 +113,7 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     lam*TV(u) + 0.5*||u - image||^2 of each output image never exceeds its
     value at the input (guarded explicitly). Every step is elementwise or a
     per-image sum, so a stack gives exactly the results of separate 2-D
-    calls.
+    calls, also when another image of the stack holds a NaN or inf.
 
     ``dual``, when given, is a float64 array of shape ``(2, k, rows, cols)``
     (``(2, rows, cols)`` for one image), read as the starting dual field
@@ -148,21 +148,27 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     bufs = np.zeros((2, 2, cols + n))
     if dual is not None:
         bufs[0, :, cols:] = dual.reshape(2, n)
-    cur, nxt = [(b[:, cols:], b[0, cols:], b[0, :n], b[1, cols:], b[1, cols - 1:-1])
-                for b in bufs]
+
+    def views(b):
+        px, py = b[0, cols:], b[1, cols:]
+        # last: the ignored entries, the last row of px and the last column of py
+        return (b[:, cols:], px, b[0, :n], py, b[1, cols - 1:-1],
+                px.reshape(k, rows, cols)[:, -1], py.reshape(k, rows, cols)[..., -1])
+
+    cur, nxt = map(views, bufs)
     # div p - image/lam, trailed by ``cols`` zeros for the gradient's shifts
     d = np.zeros(n + cols)
     dd, d_down, d_right = d[:n], d[cols:], d[1:n + 1]
     scaled = stack.reshape(n) / lam
-    # 0 on the last row (x) and the last column (y), where the gradient is 0
-    mask = np.ones((2, k, rows, cols))
-    mask[0, :, -1, :] = 0.0
-    mask[1, :, :, -1] = 0.0
-    mask = mask.reshape(2, n)
     t = np.empty(n)
     g = np.empty((2, n))
     w = np.empty((2, n))
     g0, g1 = g
+    # the gradient is 0 on the last row (x) and the last column (y); set by
+    # assignment, as a multiply by 0 would keep a NaN that a non-finite pixel
+    # leaves there, and the flat shifts would carry it into the next image
+    g0_last = g0.reshape(k, rows, cols)[:, -1]
+    g1_last = g1.reshape(k, rows, cols)[..., -1]
     w0, w1 = w
     sums = w.reshape(2, k, rows * cols)
     norms = np.empty((2, k))
@@ -171,15 +177,16 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     p_all = np.empty((2, k, rows, cols))
     live = [True] * k
     for _ in range(int(max_iters)):
-        p, px, px_up, py, py_left = cur
-        q = nxt[0]
+        p, px, px_up, py, py_left, _, _ = cur
+        q, _, _, _, _, qx_last, qy_last = nxt
         np.subtract(px, px_up, out=dd)
         np.subtract(py, py_left, out=t)
         dd += t
         dd -= scaled
         np.subtract(d_down, dd, out=g0)
         np.subtract(d_right, dd, out=g1)
-        g *= mask
+        g0_last.fill(0.0)
+        g1_last.fill(0.0)
         np.square(g, out=w)
         denom = np.sqrt(np.add(w0, w1, out=t), out=t)
         denom *= TV_DUAL_STEP
@@ -187,6 +194,10 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
         np.multiply(g, TV_DUAL_STEP, out=q)
         q += p
         q /= denom
+        # the new dual's ignored entries too: denom reads both gradients, so
+        # a NaN in the other one at that pixel would reach them
+        qx_last.fill(0.0)
+        qy_last.fill(0.0)
         # per-pixel squared dual change in w0 and squared dual norm in w1
         np.square(np.subtract(q, p, out=g), out=g)
         np.add(g0, g1, out=w0)

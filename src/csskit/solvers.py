@@ -134,7 +134,6 @@ class SolveResult:
     """
 
     s_hat: np.ndarray | None
-    theta_hat: np.ndarray | None
     iterations: int
     residual: float
     raw_residual: float
@@ -203,7 +202,6 @@ def _certified_result(L, y, epsilon, s_cert, trace, converged, diverged, flags,
     res = float(np.linalg.norm(y - L.forward(s_cert)))
     return SolveResult(
         s_hat=None,
-        theta_hat=None,
         iterations=len(trace),
         residual=res,
         raw_residual=res if raw_residual is None else raw_residual,
@@ -413,7 +411,7 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
             converged = True
             break
     result = _certified_result(L, y, epsilon, S, trace, converged, diverged, flags)
-    return dataclasses.replace(result, s_hat=S, theta_hat=wav.forward_cols(S))
+    return dataclasses.replace(result, s_hat=S)
 
 
 def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float,
@@ -422,8 +420,9 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
 
     Minimizes ``||W X||_1`` over the measurement ball of the cube-space
     operator; with W orthonormal this is the synthesis problem on the
-    coefficients ``theta = W X``, which ``theta_hat`` reports. The
-    measurements must come from a cube-space scheme (dense or uniform).
+    coefficients ``theta = W X``, which ``wavelet.forward_cols`` of the
+    cube's data gives. The measurements must come from a cube-space scheme
+    (dense or uniform).
     """
     if operator.scheme == "decorrelating":
         raise ValueError("cube baselines need dense or uniform measurements")
@@ -431,7 +430,7 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
     # a dense or uniform operator maps the cube straight to data space
     x, result = _splitting_solve(operator, y, epsilon, config, _l1_wavelet_prox(wavelet))
     cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, x)
-    return cube, dataclasses.replace(result, theta_hat=wavelet.forward_cols(x))
+    return cube, result
 
 
 def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
@@ -464,8 +463,8 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
     measurement ball; no simplex constraint. The wavelets are orthonormal,
     so the synthesis problem on ``theta`` is the analysis problem
     ``min ||W S||_1`` on the sources ``S = W^T theta``, and that is the one
-    solved; the name keeps the paper's synthesis formulation, which
-    ``theta_hat = W s_hat`` reports. Under the decorrelating scheme with
+    solved; the name keeps the paper's synthesis formulation, whose theta
+    is ``wavelet.forward_cols(s_hat)``. Under the decorrelating scheme with
     epsilon = 0 the problem separates into one recovery per source: the
     affine ball projection and the l1 prox both act column by column, so
     the joint iteration is the per-source iteration, and one joint solve
@@ -474,5 +473,5 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
     config = config if config is not None else SolverConfig()
     s_hat, result = _splitting_solve(SourceSpaceMap(operator, H), y, epsilon, config,
                                      _l1_wavelet_prox(wavelet))
-    return dataclasses.replace(result, s_hat=s_hat, theta_hat=wavelet.forward_cols(s_hat))
+    return dataclasses.replace(result, s_hat=s_hat)
 

@@ -123,9 +123,10 @@ class Wavelet2D:
     Every transform runs one level loop over a ``(rows, cols, q)`` stack of
     images, so ``forward_cols``/``inverse_cols`` transform all ``q`` columns
     of an ``(n1, q)`` matrix at once, with the same bytes as one image at a
-    time. A level is one stacked-filter pass per axis: analysis filters the
-    rows, then the columns of both row bands; synthesis filters the columns
-    of both row halves, then the rows.
+    time; one image is the one-column matrix ``image.reshape(-1, 1)``. A
+    level is one stacked-filter pass per axis: analysis filters the rows,
+    then the columns of both row bands; synthesis filters the columns of
+    both row halves, then the rows.
 
     Parameters
     ----------
@@ -197,12 +198,6 @@ class Wavelet2D:
             r, c = r2, c2
         return out
 
-    def _image(self, image: np.ndarray) -> np.ndarray:
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (self.rows, self.cols):
-            raise ValueError(f"expected shape ({self.rows}, {self.cols})")
-        return image[:, :, None]
-
     def _columns(self, mat: np.ndarray, transform) -> np.ndarray:
         mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
         if mat.shape[0] != self.n1:
@@ -214,14 +209,6 @@ class Wavelet2D:
         out = np.empty_like(mat)
         out[...] = stack.reshape(mat.shape)
         return out
-
-    def forward(self, image: np.ndarray) -> np.ndarray:
-        """Analysis: image -> coefficient array of the same shape."""
-        return self._analysis(self._image(image))[:, :, 0]
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesis: coefficient array -> image. Exact transpose of forward."""
-        return self._synthesis(self._image(coeffs))[:, :, 0]
 
     def forward_cols(self, mat: np.ndarray) -> np.ndarray:
         """Analyze every column of an ``(n1, q)`` matrix, each read as a

@@ -18,8 +18,8 @@ from csskit.bounds import empirical_rip, theorem1_constants
 from csskit.experiments import ExperimentConfig, run_experiment
 from csskit.model import MixingMatrix, mix
 from csskit.operators import (
+    CoreOperator,
     MeasurementSet,
-    make_core_operator,
     make_sampling_operator,
 )
 from csskit.proximal import l2ball_project_tightframe
@@ -88,7 +88,7 @@ def test_criterion_01_decorrelation_identity():
         xi = float(10.0 ** rng.uniform(0.0, 2.0))  # condition numbers 1..100
         H = conditioned_mixing(rng, n2, rho, xi)
         S = rng.normal(size=(n1, rho))
-        core = make_core_operator(RC, m_hat, n1, seed=trial)
+        core = CoreOperator(RC, m_hat, n1, seed=trial)
         via_cube = core.forward(S @ H.data.T) @ H.pinv.T
         direct = core.forward(S)
         rel = np.linalg.norm(via_cube - direct) / np.linalg.norm(direct)
@@ -106,7 +106,7 @@ def test_criterion_02_tight_frame_and_ball_projection():
              (16, 16), (5, 32), (32, 64), (13, 64), (64, 128)]
     worst_gram = 0.0
     for seed, (m_hat, n1) in enumerate(pairs):
-        core = make_core_operator(RC, m_hat, n1, seed=seed)
+        core = CoreOperator(RC, m_hat, n1, seed=seed)
         A = core.as_matrix()
         dev = np.max(np.abs(A @ A.T - (n1 / m_hat) * np.eye(m_hat)))
         worst_gram = max(worst_gram, dev)
@@ -114,7 +114,7 @@ def test_criterion_02_tight_frame_and_ball_projection():
     worst_ball = 0.0
     for seed, (m_hat, n1) in enumerate([(2, 4), (3, 8), (4, 8), (6, 16),
                                         (16, 16)]):
-        core = make_core_operator(RC, m_hat, n1, seed=100 + seed)
+        core = CoreOperator(RC, m_hat, n1, seed=100 + seed)
         A = core.as_matrix()
         rng = np.random.default_rng(200 + seed)
         for epsilon in (0.0, 0.2, 1.5):

@@ -12,7 +12,7 @@ from csskit.bounds import (
     measurement_bound,
     theorem1_constants,
 )
-from csskit.operators import make_core_operator
+from csskit.operators import CoreOperator
 
 
 # --- measurement-count scaling laws -----------------------------------------
@@ -183,7 +183,7 @@ def test_empirical_rip_lower_bounds_exhaustive_constant():
 
 
 def test_empirical_rip_accepts_operator_objects():
-    core = make_core_operator("random-convolution", 16, 16, seed=5)
+    core = CoreOperator("random-convolution", 16, 16, seed=5)
     lo, hi, delta = empirical_rip(core, k=4, trials=50, seed=6)
     # full-rate random convolution is orthogonal
     assert delta < 1e-10

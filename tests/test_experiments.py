@@ -78,6 +78,12 @@ def test_csv_rerun_is_byte_identical(tmp_path):
     blob = out.read_bytes()
     lines = blob.decode().splitlines()
     assert lines[0] == ",".join(CSV_FIELDS)
+    # the literal header: CSV_FIELDS follows ResultRow, and the byte-stable
+    # CSV must not follow a field added there silently
+    assert lines[0] == (
+        "rows,cols,channels,rho,partition,disjoint,target_xi,scheme,core,method,"
+        "wavelet,rate,snr_db,trial,seed,reconstruction_snr_db,source_snr_db,"
+        "accuracy,iterations,converged,diverged")
     assert len(lines) == 9
     assert "wall_time_s" not in lines[0]
     run_experiment(config)

@@ -88,7 +88,7 @@ def compute(method, scheme, core, family, snr_db, config):
     wav = Wavelet2D(ROWS, COLS, family)
     if method == "bpdn":
         cube, res = bpdn_solve(mset.y, op, wav, mset.epsilon, config)
-        estimate = res.theta_hat
+        estimate = wav.forward_cols(cube.data)
     elif method == "tvdn":
         cube, res = tvdn_solve(mset.y, op, mset.epsilon, config, rows=ROWS, cols=COLS)
         estimate = np.asarray(cube.data)
@@ -106,7 +106,8 @@ def compute(method, scheme, core, family, snr_db, config):
                 res = iht_ss_solve(problem, dataclasses.replace(config, iht_k=k))
             else:
                 res = ppxa_solve(problem, config)
-        estimate = res.theta_hat if res.theta_hat is not None else res.s_hat
+        # iht and l1-ss pin the wavelet coefficients of their sources
+        estimate = wav.forward_cols(res.s_hat) if method in ("iht", "l1-ss") else res.s_hat
         cube = mix(res.s_hat, scene.mixing, (ROWS, COLS))
     acc = None if res.s_hat is None else accuracy(scene.labels, res.s_hat)
     return {

@@ -12,7 +12,6 @@ from csskit.operators import (
     SourceSpaceMap,
     add_noise,
     decorrelate_measurements,
-    make_core_operator,
     make_sampling_operator,
     operator_norm,
     verify_tight_frame,
@@ -48,26 +47,26 @@ class IdentityCore:
 
 
 def test_gaussian_energy_concentration():
-    core = make_core_operator("gaussian", 64, 64, seed=0)
+    core = CoreOperator("gaussian", 64, 64, seed=0)
     rng = np.random.default_rng(1)
     x = rng.normal(size=64)
     x /= np.linalg.norm(x)
     # E||Ax||^2 = ||x||^2; average over independent operator draws
     vals = []
     for seed in range(200):
-        op = make_core_operator("gaussian", 64, 64, seed=seed)
+        op = CoreOperator("gaussian", 64, 64, seed=seed)
         vals.append(np.sum(op.forward(x) ** 2))
     assert abs(np.mean(vals) - 1.0) < 0.1
 
 
 def test_bernoulli_entries_and_scale():
-    core = make_core_operator("bernoulli", 6, 10, seed=2)
+    core = CoreOperator("bernoulli", 6, 10, seed=2)
     A = core.as_matrix()
     np.testing.assert_allclose(np.abs(A), 1.0 / np.sqrt(6.0), rtol=1e-15)
 
 
 def test_rc_full_sampling_is_orthogonal():
-    core = make_core_operator(RC, 16, 16, seed=3)
+    core = CoreOperator(RC, 16, 16, seed=3)
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = rng.normal(size=16)
@@ -76,18 +75,18 @@ def test_rc_full_sampling_is_orthogonal():
 
 def test_core_determinism():
     probe = np.random.default_rng(5).normal(size=32)
-    a = make_core_operator(RC, 8, 32, seed=9).forward(probe)
-    b = make_core_operator(RC, 8, 32, seed=9).forward(probe)
+    a = CoreOperator(RC, 8, 32, seed=9).forward(probe)
+    b = CoreOperator(RC, 8, 32, seed=9).forward(probe)
     np.testing.assert_array_equal(a, b)
-    c = make_core_operator("gaussian", 8, 32, seed=9).forward(probe)
-    d = make_core_operator("gaussian", 8, 32, seed=9).forward(probe)
+    c = CoreOperator("gaussian", 8, 32, seed=9).forward(probe)
+    d = CoreOperator("gaussian", 8, 32, seed=9).forward(probe)
     np.testing.assert_array_equal(c, d)
 
 
 def test_core_as_matrix_matches_forward():
     rng = np.random.default_rng(6)
     for kind in ("gaussian", "bernoulli", RC):
-        core = make_core_operator(kind, 8, 16, seed=7)
+        core = CoreOperator(kind, 8, 16, seed=7)
         A = core.as_matrix()
         for _ in range(3):
             x = rng.normal(size=16)
@@ -98,16 +97,16 @@ def test_core_as_matrix_matches_forward():
 
 def test_core_validation():
     with pytest.raises(ValueError):
-        make_core_operator("unknown", 4, 8, seed=0)
+        CoreOperator("unknown", 4, 8, seed=0)
     with pytest.raises(ValueError):
-        make_core_operator("gaussian", 9, 8, seed=0)
+        CoreOperator("gaussian", 9, 8, seed=0)
     with pytest.raises(ValueError):
-        make_core_operator(RC, 4, 12, seed=0)  # not a power of two
+        CoreOperator(RC, 4, 12, seed=0)  # not a power of two
 
 
 @pytest.mark.parametrize("m_hat,n1", [(4, 8), (8, 16), (16, 16), (3, 32), (32, 64)])
 def test_rc_tight_frame_constant(m_hat, n1):
-    core = make_core_operator(RC, m_hat, n1, seed=11)
+    core = CoreOperator(RC, m_hat, n1, seed=11)
     nu = verify_tight_frame(core, tol=1e-8)
     assert nu == pytest.approx(n1 / m_hat, rel=1e-12)
 
@@ -118,7 +117,7 @@ def test_rc_core_matches_its_matrix_and_is_a_tight_frame(log_n1, data):
     n1 = 2**log_n1
     m_hat = data.draw(st.integers(1, n1))
     q = data.draw(st.integers(1, 4))
-    core = make_core_operator(RC, m_hat, n1, seed=data.draw(st.integers(0, 2**32 - 1)))
+    core = CoreOperator(RC, m_hat, n1, seed=data.draw(st.integers(0, 2**32 - 1)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     A, nu = core.as_matrix(), core.nu
     # rows of a unitary circulant, scaled: A A^T = nu * I for the matrix too
@@ -138,15 +137,15 @@ def test_rc_core_matches_its_matrix_and_is_a_tight_frame(log_n1, data):
 
 def test_verify_tight_frame_rejects_gaussian():
     with pytest.raises(NotTightFrame):
-        verify_tight_frame(make_core_operator("gaussian", 8, 16, seed=12))
+        verify_tight_frame(CoreOperator("gaussian", 8, 16, seed=12))
 
 
 def test_full_rc_nu_is_one():
-    assert verify_tight_frame(make_core_operator(RC, 16, 16, seed=13)) == 1.0
+    assert verify_tight_frame(CoreOperator(RC, 16, 16, seed=13)) == 1.0
 
 
 def test_operator_norm_against_svd():
-    core = make_core_operator("gaussian", 6, 12, seed=14)
+    core = CoreOperator("gaussian", 6, 12, seed=14)
     top = np.linalg.svd(core.as_matrix(), compute_uv=False)[0]
     est = operator_norm(core, (12,), iters=200)
     assert est == pytest.approx(top, rel=1e-6)
@@ -154,7 +153,7 @@ def test_operator_norm_against_svd():
 
 def test_operator_norm_needs_an_iteration():
     # zero iterations would return 1.0 whatever the map
-    core = make_core_operator("gaussian", 6, 12, seed=14)
+    core = CoreOperator("gaussian", 6, 12, seed=14)
     with pytest.raises(ValueError):
         operator_norm(core, (12,), iters=0)
 
@@ -439,7 +438,7 @@ def test_decorrelate_orthonormal_is_transpose():
 def test_decorrelate_recovers_core_samples():
     rng = np.random.default_rng(24)
     H = random_mixing(rng, 6, 2)
-    core = make_core_operator(RC, 8, 16, seed=8)
+    core = CoreOperator(RC, 8, 16, seed=8)
     S = rng.random((16, 2))
     Y = core.forward(S @ H.data.T)
     Y_star, _ = decorrelate_measurements(Y, H)

@@ -10,7 +10,6 @@ from csskit.operators import (
     NotTightFrame,
     SamplingOperator,
     SourceSpaceMap,
-    make_core_operator,
     make_sampling_operator,
     operator_norm,
 )
@@ -284,6 +283,40 @@ def test_tv_prox_zeroes_the_dual_entries_div_ignores(stack, lam, max_iters, tol,
     assert not np.signbit(noisy[1, :, :, -1]).any() and not noisy[1, :, :, -1].any()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    stack=image_stacks(),
+    lam=st.floats(1e-3, 1e3),
+    max_iters=st.integers(1, 60),
+    tol=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.3]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 8)),
+)
+# one NaN in the first image of two 6x6 images
+@example(stack=np.random.default_rng(7).normal(size=(2, 6, 6)), lam=1.0, max_iters=100,
+         tol=1e-5, bad=np.nan, where=(0, 2, 3))
+def test_tv_prox_non_finite_pixels_stay_in_their_image(stack, lam, max_iters, tol, bad, where):
+    # a NaN or inf pixel spoils its own image only: every other image of the
+    # stack equals its separate call, output and dual, and every image's
+    # ignored dual entries come back +0.0
+    k, rows, cols = stack.shape
+    assume(k >= 2)
+    i, r, c = (v % s for v, s in zip(where, stack.shape))
+    stack = stack.copy()
+    stack[i, r, c] = bad
+    dual = np.zeros((2,) + stack.shape)
+    with np.errstate(invalid="ignore"):
+        got = tv_prox(stack, lam, max_iters, tol, dual=dual)
+    for j, image in enumerate(stack):
+        if j != i:
+            single_dual = np.zeros((2, rows, cols))
+            single = tv_prox(image, lam, max_iters, tol, dual=single_dual)
+            assert got[j].tobytes() == single.tobytes()
+            assert dual[:, j].tobytes() == single_dual.tobytes()
+    ignored = np.concatenate([dual[0, :, -1, :].ravel(), dual[1, :, :, -1].ravel()])
+    assert not np.signbit(ignored).any() and not ignored.any()
+
+
 def test_tv_prox_warm_start_from_a_converged_dual_reproduces_the_cold_prox():
     rng = np.random.default_rng(13)
     stack = rng.normal(size=(3, 12, 10)) * np.array([0.1, 1.0, 10.0])[:, None, None]
@@ -405,7 +438,7 @@ def test_simplex_rows_variational_inequality(S, seed):
 
 
 def test_tightframe_ball_feasible_input_unchanged():
-    core = make_core_operator("random-convolution", 4, 8, seed=0)
+    core = CoreOperator("random-convolution", 4, 8, seed=0)
     rng = np.random.default_rng(5)
     s = rng.normal(size=(8, 1))
     y = core.forward(s).ravel() + 0.0
@@ -424,7 +457,7 @@ def test_tightframe_ball_feasible_input_unchanged():
 
 
 def test_tightframe_ball_affine_case_orthogonal():
-    core = make_core_operator("random-convolution", 16, 16, seed=1)
+    core = CoreOperator("random-convolution", 16, 16, seed=1)
     rng = np.random.default_rng(6)
     s = rng.normal(size=16)
     y = rng.normal(size=16)
@@ -434,7 +467,7 @@ def test_tightframe_ball_affine_case_orthogonal():
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
 def test_tightframe_ball_matches_kkt_oracle(epsilon):
-    core = make_core_operator("random-convolution", 4, 8, seed=2)
+    core = CoreOperator("random-convolution", 4, 8, seed=2)
     A = core.as_matrix()
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -462,7 +495,7 @@ def test_tightframe_ball_requires_nu():
 def test_tightframe_ball_variational_inequality(log_n1, m_frac, seed, regime, frac):
     n1 = 2**log_n1
     m_hat = 1 + int(m_frac * (n1 - 1))
-    core = make_core_operator("random-convolution", m_hat, n1, seed=seed)
+    core = CoreOperator("random-convolution", m_hat, n1, seed=seed)
     rng = np.random.default_rng(seed)
     s = rng.normal(size=n1)
     y = 2.0 * rng.normal(size=m_hat)
@@ -491,7 +524,7 @@ def test_fb_ball_feasible_input_unchanged():
 
 
 def test_fb_ball_agrees_with_tightframe_closed_form():
-    core = make_core_operator("random-convolution", 8, 16, seed=3)
+    core = CoreOperator("random-convolution", 8, 16, seed=3)
     rng = np.random.default_rng(10)
     s = rng.normal(size=16)
     y = rng.normal(size=8) * 2.0
@@ -941,7 +974,7 @@ def test_fb_ball_rejects_a_step_it_cannot_converge_with(epsilon):
 
 def test_prox_maps_are_nonexpansive():
     rng = np.random.default_rng(12)
-    core = make_core_operator("random-convolution", 8, 16, seed=4)
+    core = CoreOperator("random-convolution", 8, 16, seed=4)
     y = rng.normal(size=8)
     for _ in range(10):
         a = rng.normal(size=16)
