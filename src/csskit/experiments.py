@@ -29,7 +29,7 @@ from .solvers import (
     ppxa_solve,
     tvdn_solve,
 )
-from .wavelets import Wavelet2D
+from .wavelets import FAMILIES, Wavelet2D
 
 METHODS = ("ppxa-tv", "ppxa-l1", "iht", "bpdn", "tvdn", "l1-ss")
 
@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if self.wavelet not in FAMILIES:
+            raise ValueError(f"wavelet must be one of {FAMILIES}")
         if self.method in ("bpdn", "tvdn") and self.scheme == "decorrelating":
             raise ValueError("cube baselines need dense or uniform measurements")
         if not all(0.0 < r <= 1.0 for r in self.rates):

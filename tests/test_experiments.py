@@ -172,6 +172,7 @@ def test_smoke_instance_classifies_perfectly():
     {"rates": ()},
     {"snrs_db": ()},
     {"trials": 0},
+    {"wavelet": "db2"},  # rejected before a scene is generated
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
