@@ -232,16 +232,34 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
 def simplex_project_rows(S):
     """Euclidean projection of each row onto {w >= 0, sum w = 1}.
 
-    Sort-and-threshold in one vectorized pass.
+    Sort and threshold (Condat 2016): with ``u`` the row sorted in
+    descending order and ``c_j`` its prefix sums, the largest ``j`` with
+    ``j u_j > c_j - 1`` gives ``theta = (c_j - 1) / j``, and the row maps
+    to ``max(w - theta, 0)``. The rows are short (one entry per source), so
+    the work runs down a copy of ``S.T``, of shape ``(d, n)``, one
+    ``n``-vector per NumPy call: an odd-even transposition network of ``d``
+    rounds of elementwise ``maximum``/``minimum`` sorts every row at once,
+    and ``d - 1`` row adds form the prefix sums in ``cumsum``'s order. On
+    finite input the result is that of ``np.sort`` and ``np.cumsum`` along
+    the rows, byte for byte; a NaN spoils only its own row. The input is
+    never written, and the output is laid out like ``S - theta``.
     """
     S = np.atleast_2d(np.asarray(S, dtype=np.float64))
     n, d = S.shape
-    u = -np.sort(-S, axis=1)
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, d + 1)
-    cond = u * j > css - 1.0
-    rho = d - np.argmax(cond[:, ::-1], axis=1)  # largest j satisfying cond
-    theta = (css[np.arange(n), rho - 1] - 1.0) / rho
+    # the network sorts in place, so a copy: np.ascontiguousarray(S.T) is a
+    # view of S when S has one row or is F-ordered
+    u = S.T.copy()
+    for r in range(d):
+        hi, lo = u[r % 2:d - 1:2], u[r % 2 + 1::2]
+        top = np.maximum(hi, lo)
+        np.minimum(hi, lo, out=lo)
+        hi[...] = top
+    css = u.copy()
+    for k in range(1, d):
+        css[k] += css[k - 1]
+    j = np.arange(1, d + 1)[:, None]
+    rho = np.max(j * (u * j > css - 1.0), axis=0)  # largest j satisfying it
+    theta = (css[rho - 1, np.arange(n)] - 1.0) / rho
     return np.maximum(S - theta[:, None], 0.0)
 
 

@@ -126,8 +126,10 @@ class SolveResult:
     estimate; ``raw_residual`` belongs to the uncertified final iterate.
     ``converged`` means the iterate-change criterion fired AND the certified
     point sits on the measurement ball (within 1e-6*||y|| slack); a stalled
-    infeasible run reports False. ``trace`` holds one
-    ``(residual, relative_change)`` pair per iteration. ``flags`` names
+    infeasible run reports False. ``trace`` holds one float per iteration,
+    the relative change ``||S_k - S_{k-1}|| / max(||S_{k-1}||, 1)`` of the
+    iterate that the stopping test reads; ``residual`` and ``raw_residual``
+    are the only residuals reported. ``flags`` names
     what went wrong along the way: ``"ball-projection-capped"`` when an
     iterative ball projection stopped at its iteration cap,
     ``"tv-prox-capped"`` when a TV prox did.
@@ -212,8 +214,16 @@ def _certified_result(L, y, epsilon, s_cert, trace, converged, diverged, flags,
     )
 
 
-def _run_engine(proxes, shape, config, residual_fn):
-    """Averaged proximal splitting over an arbitrary prox list."""
+def _run_engine(proxes, shape, config):
+    """Averaged proximal splitting over an arbitrary prox list, from 0.
+
+    Returns ``(s, trace, converged, diverged)``: the last average, the
+    relative change of each iteration (the stop test's ``rel_tol`` reads
+    it), whether that change fell below ``config.rel_tol``, and whether an
+    average went non-finite (the loop stops there and ``s`` is the last
+    finite one). The engine applies no map itself: a residual is the
+    caller's, formed once after the loop.
+    """
     m = len(proxes)
     weight = m * config.beta
     gammas = [np.zeros(shape) for _ in proxes]
@@ -228,9 +238,9 @@ def _run_engine(proxes, shape, config, residual_fn):
             break
         for g, p in zip(gammas, ps):
             g += 2.0 * s_new - s - p
-        change = np.linalg.norm(s_new - s) / max(np.linalg.norm(s), 1.0)
+        change = float(np.linalg.norm(s_new - s) / max(np.linalg.norm(s), 1.0))
         s = s_new
-        trace.append((residual_fn(s), change))
+        trace.append(change)
         if change < config.rel_tol:
             converged = True
             break
@@ -284,15 +294,13 @@ def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=Non
     if simplex:
         proxes.append(lambda S, w: simplex_project_rows(S))
 
-    def residual(S):
-        return float(np.linalg.norm(y - L.forward(S)))
-
-    s, trace, converged, diverged = _run_engine(proxes, L.shape_in, config, residual)
+    s, trace, converged, diverged = _run_engine(proxes, L.shape_in, config)
+    raw_residual = float(np.linalg.norm(y - L.forward(s)))
     s_cert = ball_project(s)
     if simplex:
         s_cert = simplex_project_rows(s_cert)
     return s_cert, _certified_result(L, y, epsilon, s_cert, trace, converged, diverged,
-                                     flags, raw_residual=residual(s))
+                                     flags, raw_residual=raw_residual)
 
 
 def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> SolveResult:
@@ -341,7 +349,7 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     orthogonalization that makes the coefficient Gram matrix diagonal while
     preserving per-source energy ratios; (4) ``S = simplex(W^T theta)``, the
     row-simplex projection in the image domain. The new residual feeds the
-    trace and the next step. ``gamma`` defaults to ``1/||L||^2`` (``W`` is
+    next step. ``gamma`` defaults to ``1/||L||^2`` (``W`` is
     orthonormal) from ``_ball_machinery``: exact on the Kronecker maps, an
     estimated norm inflated by ``_IHT_NORM_MARGIN`` on the dense map.
 
@@ -403,10 +411,10 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         if not np.all(np.isfinite(S_new)):
             diverged = True
             break
-        change = np.linalg.norm(S_new - S) / max(np.linalg.norm(S), 1.0)
+        change = float(np.linalg.norm(S_new - S) / max(np.linalg.norm(S), 1.0))
         S = S_new
         r = y - L.forward(S)
-        trace.append((float(np.linalg.norm(r)), change))
+        trace.append(change)
         if change < config.rel_tol:
             converged = True
             break

@@ -1,11 +1,28 @@
-"""Dense reference computations shared by the test modules."""
+"""Dense reference computations and a counting core shared by the test
+modules."""
 
 import numpy as np
 from scipy.optimize import brentq
 
-from csskit.operators import operator_norm
+from csskit.operators import CoreOperator, operator_norm
 from csskit.proximal import TV_DUAL_STEP, soft_threshold
 from csskit.solvers import _splitting_solve
+
+
+class CountingCore(CoreOperator):
+    """CoreOperator that counts its forward and adjoint applications."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {"forward": 0, "adjoint": 0}
+
+    def forward(self, x):
+        self.calls["forward"] += 1
+        return super().forward(x)
+
+    def adjoint(self, y):
+        self.calls["adjoint"] += 1
+        return super().adjoint(y)
 
 
 def kkt_ball_projection(A, s, y, epsilon):
@@ -53,6 +70,22 @@ def reference_hard_threshold_topk(v, k):
     order = np.argsort(-np.abs(flat), kind="stable")[:k]
     out.ravel()[order] = flat[order]
     return out
+
+
+def reference_simplex_project_rows(S):
+    """Row-simplex projection by sort and threshold along the rows:
+    ``np.sort``, ``np.cumsum`` and a reversed ``argmax`` on the ``(n, d)``
+    matrix itself. A row with no valid ``j`` (only a NaN row) takes
+    ``j = d``."""
+    S = np.atleast_2d(np.asarray(S, dtype=np.float64))
+    n, d = S.shape
+    u = -np.sort(-S, axis=1)
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, d + 1)
+    cond = u * j > css - 1.0
+    rho = d - np.argmax(cond[:, ::-1], axis=1)  # largest j satisfying cond
+    theta = (css[np.arange(n), rho - 1] - 1.0) / rho
+    return np.maximum(S - theta[:, None], 0.0)
 
 
 def reference_tv_prox(image, lam, max_iters, tol, dual=None):

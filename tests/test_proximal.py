@@ -25,10 +25,13 @@ from csskit.proximal import (
     tv_norm,
     tv_prox,
 )
+from csskit.wavelets import Wavelet2D
 from oracles import (
+    CountingCore,
     kkt_ball_projection,
     reference_hard_threshold_topk,
     reference_l2ball_project_fb,
+    reference_simplex_project_rows,
     reference_tv_prox,
 )
 
@@ -437,6 +440,119 @@ def test_simplex_rows_variational_inequality(S, seed):
     assert np.all(inner <= 1e-12 * scale)
 
 
+@st.composite
+def simplex_inputs(draw):
+    """``(n, d)`` matrices in C or F order at one of thirteen scales: small
+    integers and halves (ties), exact +0.0 and -0.0, or any float."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 10))
+    elements = st.one_of(st.integers(-6, 6).map(lambda i: i / 2.0),
+                         st.sampled_from([0.0, -0.0]),
+                         st.floats(-4.0, 4.0, allow_nan=False, width=64))
+    S = draw(arrays(np.float64, (n, d), elements=elements))
+    S = S * 10.0 ** draw(st.integers(-6, 6))
+    return np.asarray(S, order=draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(S=simplex_inputs())
+@example(S=np.asfortranarray([[0.5, 0.5, -0.0], [0.0, -0.0, 0.0]]))
+@example(S=np.array([[1.0, 1.0, 1.0, 1.0]]))
+def test_simplex_rows_match_the_sort_reference(S):
+    # the network and row adds do np.sort's and np.cumsum's float operations
+    got, want = simplex_project_rows(S), reference_simplex_project_rows(S)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=simplex_inputs(), data=st.data())
+def test_simplex_rows_nan_stays_in_its_row(S, data):
+    i = data.draw(st.integers(0, S.shape[0] - 1))
+    j = data.draw(st.integers(0, S.shape[1] - 1))
+    want = simplex_project_rows(S)
+    bad = S.copy(order="K")
+    bad[i, j] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = simplex_project_rows(bad)
+    assert np.delete(got, i, axis=0).tobytes() == np.delete(want, i, axis=0).tobytes()
+    assert np.all(np.isnan(got[i]))  # the network spreads it along the row
+
+
+def _read_only(a, order):
+    a = np.array(a, dtype=np.float64, order=order)
+    a.flags.writeable = False
+    return a
+
+
+def _ball_case(scheme, kind, n1):
+    """``(L, s, y, epsilon)`` on the ``(n1, 2)`` source map of a 3-channel
+    scheme, with ``s`` off the ball."""
+    rng = np.random.default_rng(n1)
+    H = MixingMatrix(0.5 * rng.normal(size=(3, 2)) + 2.0 * np.eye(3, 2))
+    op = make_sampling_operator(scheme, kind, n1, 3, seed=5, m_hat=max(n1 // 2, 1),
+                                mixing=H)
+    L = SourceSpaceMap(op, H)
+    s = rng.normal(size=L.shape_in)
+    y = L.forward(rng.normal(size=L.shape_in))
+    return L, s, y, 0.1 * float(np.linalg.norm(y - L.forward(s)))
+
+
+def _ball(project, scheme, kind):
+    def call(order, thin):
+        L, s, y, epsilon = _ball_case(scheme, kind, 1 if thin else 8)
+        return project(_read_only(s, order), _read_only(y, "C"), L, epsilon)
+    return call
+
+
+def _matrix(fn):
+    def call(order, thin):
+        X = np.random.default_rng(2).normal(size=(1 if thin else 6, 3))
+        return fn(_read_only(X, order))
+    return call
+
+
+def _tv_image(order, thin):
+    image = np.random.default_rng(3).normal(size=(1 if thin else 5, 7))
+    dual = np.zeros((2,) + image.shape)  # in/out by contract
+    return tv_prox(_read_only(image, order), 0.3, 20, 1e-5, dual=dual)
+
+
+def _wavelet(name):
+    def call(order, thin):
+        # a transform's one-image form is a single column
+        X = np.random.default_rng(4).normal(size=(64, 1 if thin else 3))
+        return getattr(Wavelet2D(8, 8), name)(_read_only(X, order))
+    return call
+
+
+# one call per public prox, projection and wavelet transform, taking the
+# memory order of its read-only input and whether that input is thin: one
+# row, or one column for the wavelet transforms
+NO_WRITE_CALLS = {
+    "soft_threshold": _matrix(lambda X: soft_threshold(X, 0.3)),
+    "hard_threshold_topk": _matrix(lambda X: hard_threshold_topk(X, 2)),
+    "simplex_project_rows": _matrix(simplex_project_rows),
+    "l2ball_project_tightframe": _ball(l2ball_project_tightframe, "decorrelating",
+                                       "random-convolution"),
+    "l2ball_project_eig": _ball(l2ball_project_eig, "decorrelating", "gaussian"),
+    "l2ball_project_fb": _ball(lambda *a: l2ball_project_fb(*a, max_iters=20)[0],
+                               "uniform", "gaussian"),
+    "tv_prox": _tv_image,
+    "forward_cols": _wavelet("forward_cols"),
+    "inverse_cols": _wavelet("inverse_cols"),
+}
+
+
+@pytest.mark.parametrize("thin", [False, True], ids=["matrix", "thin"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", sorted(NO_WRITE_CALLS))
+def test_no_prox_or_transform_writes_its_input(name, order, thin):
+    # every input array is read-only, so any write into it raises; a
+    # transpose that is already contiguous (one row, or F order) is a view
+    out = NO_WRITE_CALLS[name](order, thin)
+    assert np.all(np.isfinite(out))
+
+
 def test_tightframe_ball_feasible_input_unchanged():
     core = CoreOperator("random-convolution", 4, 8, seed=0)
     rng = np.random.default_rng(5)
@@ -843,19 +959,6 @@ def test_fb_ball_applies_the_gram_once_per_step():
 def test_fb_ball_on_a_kronecker_map_runs_the_core_twice(max_iters):
     # in the Gram eigenbasis each step is elementwise: one core forward for
     # b = L(s) and one core adjoint at the end, whatever the step count
-    class CountingCore(CoreOperator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.calls = {"forward": 0, "adjoint": 0}
-
-        def forward(self, x):
-            self.calls["forward"] += 1
-            return super().forward(x)
-
-        def adjoint(self, y):
-            self.calls["adjoint"] += 1
-            return super().adjoint(y)
-
     rng = np.random.default_rng(15)
     H = MixingMatrix(0.5 * rng.normal(size=(4, 2)) + 2.0 * np.eye(4, 2))
     core = CountingCore("gaussian", 6, 16, 2)

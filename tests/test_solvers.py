@@ -28,7 +28,7 @@ from csskit.solvers import (
     tvdn_solve,
 )
 from csskit.wavelets import Wavelet2D
-from oracles import synthesis_l1_solve
+from oracles import CountingCore, synthesis_l1_solve
 
 RC = "random-convolution"
 
@@ -326,8 +326,32 @@ def test_iht_iterates_on_the_image(det_scene):
     assert np.all(res.s_hat >= 0.0)
     np.testing.assert_allclose(simplex_project_rows(res.s_hat), res.s_hat,
                                rtol=0.0, atol=1e-15)
-    # the trace's last residual is the certified one
-    assert res.trace[-1][0] == res.residual == res.raw_residual
+    # the last iterate is the certified estimate
+    assert res.residual == res.raw_residual
+
+
+@pytest.mark.parametrize("method", ["ppxa-l1", "ppxa-tv", "l1-ss"])
+def test_tight_frame_splitting_applies_the_core_once_per_iteration(det_scene, method):
+    # K iterations on the tight decorrelating map: one forward and one
+    # adjoint per ball projection (the K iterations' and the certifying
+    # one), then one forward each for the final average's raw residual and
+    # the certified residual; nothing forms a per-iteration residual
+    scene = det_scene
+    core = CountingCore(RC, 32, 64, 18)
+    op = SamplingOperator("decorrelating", core, 64, 4, mixing=scene.mixing)
+    y = op.forward(scene.cube.data)
+    wav = Wavelet2D(8, 8)
+    config = SolverConfig(max_iters=7, rel_tol=0.0)
+    core.calls.update(forward=0, adjoint=0)
+    if method == "l1-ss":
+        res = l1_ss_synthesis_solve(y, op, scene.mixing, wav, 0.0, config)
+    else:
+        prior = "tv" if method == "ppxa-tv" else "l1-wavelet"
+        res = ppxa_solve(RecoveryProblem(noiseless(y), op, wav, 2, prior=prior), config)
+    assert res.iterations == 7
+    assert core.calls == {"forward": 10, "adjoint": 8}
+    assert len(res.trace) == 7
+    assert all(type(change) is float for change in res.trace)
 
 
 def test_iht_default_step_is_safe_on_a_non_tight_map():
