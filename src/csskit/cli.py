@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -28,13 +27,8 @@ from .solvers import SolverConfig
 from .wavelets import FAMILIES, Wavelet2D
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _cmd_generate(args) -> int:
-    raw = _load_json(args.spec)
+    raw = fio._read_json(args.spec)
     allowed = {f.name for f in dataclasses.fields(SceneSpec)}
     unknown = set(raw) - allowed
     if unknown:
@@ -77,7 +71,7 @@ def _cmd_sample(args) -> int:
 
 
 def _solver_config(path: str | None) -> tuple[SolverConfig, str]:
-    raw = _load_json(path) if path else {}
+    raw = fio._read_json(path) if path else {}
     wavelet = raw.pop("wavelet", "haar")
     if wavelet not in FAMILIES:
         raise ValueError(f"wavelet must be one of {FAMILIES}")
@@ -114,9 +108,7 @@ def _cmd_recover(args) -> int:
         "converged": result.converged, "diverged": result.diverged,
         "flags": list(result.flags),
     }
-    with open(os.path.join(args.out, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fio._write_json(os.path.join(args.out, "result.json"), summary)
     if result.diverged:
         print("solver diverged", file=sys.stderr)
         return 3
@@ -131,17 +123,12 @@ def _cmd_evaluate(args) -> int:
         labels = fio.read_labels(args.labels)
         s_hat = fio.read_sources(args.sources)
         report["accuracy"] = accuracy(labels, s_hat)
-    out = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-           for k, v in report.items()}
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(fio._write_json(args.out, fio._jsonable(report)))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    query = _load_json(args.query)
+    query = fio._read_json(args.query)
     if "scheme" in query:
         q = BoundQuery(**query)
         est = measurement_bound(q)
@@ -153,11 +140,7 @@ def _cmd_bounds(args) -> int:
     else:
         raise ValueError("query needs 'scheme' (measurement bound) or "
                          "'delta_star' (guarantee constants)")
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(fio._write_json(args.out or None, out))
     return 0
 
 
@@ -208,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a malformed JSON file raises json.JSONDecodeError, a ValueError
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import MixingMatrix, mix
-from .operators import SCHEMES, MeasurementSet, SamplingOperator, add_noise, make_sampling_operator
+from .operators import CORE_KINDS, SCHEMES, MeasurementSet, SamplingOperator, add_noise, make_sampling_operator
 from .scenes import Scene, SceneSpec, accuracy, generate_scene, reconstruction_snr
 from .solvers import (
     RecoveryProblem,
@@ -58,12 +58,16 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if self.core not in CORE_KINDS:
+            raise ValueError(f"core must be one of {CORE_KINDS}")
         if self.wavelet not in FAMILIES:
             raise ValueError(f"wavelet must be one of {FAMILIES}")
         if self.method in ("bpdn", "tvdn") and self.scheme == "decorrelating":
             raise ValueError("cube baselines need dense or uniform measurements")
         if not all(0.0 < r <= 1.0 for r in self.rates):
             raise ValueError("rates must lie in (0, 1]")
+        if not all(snr > 0.0 for snr in self.snrs_db):
+            raise ValueError("snrs_db must be positive (inf for noiseless)")
         if not self.rates or not self.snrs_db:
             raise ValueError("need at least one rate and one snr")
         if self.trials < 1:

@@ -25,10 +25,14 @@ def _sidecar(path: str) -> str:
     return path + ".json"
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(path: str | None, obj: dict) -> str:
+    """``obj`` as indented, key-sorted JSON with a trailing newline, written
+    to ``path`` unless it is None; returns the text."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return text
 
 
 def _read_json(path: str) -> dict:

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .operators import NotTightFrame, operator_norm
+
 #: Chambolle dual step; any value < 1/4 is provably convergent for this
 #: gradient/divergence pair.
 TV_DUAL_STEP = 0.249
@@ -263,17 +265,16 @@ def simplex_project_rows(S):
     return np.maximum(S - theta[:, None], 0.0)
 
 
-def l2ball_project_tightframe(s, y, op, epsilon, nu=None):
+def l2ball_project_tightframe(s, y, op, epsilon):
     """Exact projection of ``s`` onto {x : ||y - op(x)|| <= epsilon}.
 
-    Valid only when op is a tight frame (op o adjoint = nu * Id): the
-    projection is s + (1/nu) * adjoint(r) * (1 - epsilon/||r||)_+ with
-    r = y - op(s). epsilon = 0 degenerates to the affine projection.
+    Valid only when op is a tight frame (op o adjoint = nu * Id, ``op.nu``
+    set; ``NotTightFrame`` otherwise): the projection is
+    s + (1/nu) * adjoint(r) * (1 - epsilon/||r||)_+ with r = y - op(s).
+    epsilon = 0 degenerates to the affine projection.
     """
-    nu = op.nu if nu is None else nu
+    nu = op.nu
     if nu is None:
-        from .operators import NotTightFrame
-
         raise NotTightFrame("operator provides no tight-frame constant")
     s = np.asarray(s, dtype=np.float64)
     r = y - op.forward(s)
@@ -412,8 +413,6 @@ def l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):
     if np.linalg.norm(y - b) <= epsilon * (1.0 + 1e-9) + 1e-15:
         return s.copy(), True
     if op_norm is None:
-        from .operators import operator_norm
-
         op_norm = operator_norm(op, s.shape)
     sigma = 1.0 / max(op_norm**2, 1e-30)
     basis = getattr(op, "basis", None)

@@ -45,12 +45,11 @@ class SolverConfig:
     """Iteration controls shared by all solvers.
 
     beta is the proximal weight of the splitting; gamma_step overrides the
-    hard-thresholding step size (default 1/||L||^2 for the source map L:
-    exact on every Kronecker map ``B (x) A``, where ||L|| =
-    sigma_max(B) sigma_max(A), the top eigenvalue of its Gram basis; on
-    the dense map with the power-iteration norm estimate inflated by 10 % so
-    the step stays below the bound); iht_k is the sparsity budget of the
-    hard-thresholding solver.
+    hard-thresholding step size (default 1/||L||^2 for the source map L,
+    from ``_iht_norm_sq``: exact on every Kronecker map ``B (x) A``; on the
+    dense map the power-iteration estimate inflated by 10 % so the step
+    stays below the bound); both must be finite and positive. iht_k is the
+    sparsity budget of the hard-thresholding solver.
     """
 
     beta: float = 1.0
@@ -64,16 +63,16 @@ class SolverConfig:
     ball_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
         if self.max_iters < 1 or self.tv_max_iters < 1 or self.ball_max_iters < 1:
             raise ValueError("iteration budgets must be positive")
         if not 0 <= self.rel_tol < 1:
             raise ValueError("rel_tol must lie in [0, 1)")
         if self.iht_k is not None and self.iht_k < 1:
             raise ValueError("iht_k must be positive")
-        if self.gamma_step is not None and self.gamma_step <= 0:
-            raise ValueError("gamma_step must be positive")
+        if self.gamma_step is not None and not 0.0 < self.gamma_step < math.inf:
+            raise ValueError("gamma_step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,34 +150,28 @@ class SolveResult:
             raise ValueError("certified residual must be finite")
 
 
-def _ball_machinery(L, y, epsilon, config, flags):
-    """Return ``(norm_sq, exact, project)``: ``||L||^2``, whether that value
-    is exact, and the projection onto the ball ``||y - L(S)|| <= epsilon``.
+def _ball_projection(L, y, epsilon, config, flags):
+    """The projection onto the ball ``||y - L(S)|| <= epsilon``, read off
+    the map's structure:
 
-    Three rules, read off the map's structure:
-
-    - a tight frame (``L.nu`` set) gets ``nu`` and the closed form
+    - a tight frame (``L.nu`` set) gets the closed form
       ``l2ball_project_tightframe``;
     - a map with a full-rank Gram basis (``min(lam) > 0``: ``I (x) A`` on
-      a full-rank core, ``H (x) A`` with ``n2 == rho``) gets ``max(lam)``
-      and the exact ``l2ball_project_eig``;
-    - every other map gets the iterative dual forward-backward projection
-      (FB), with its step from a power-iteration estimate of ``||L||``, a
-      lower bound, formed on the first projection. Its norm is ``max(lam)``
-      on a map with a basis (``H (x) A`` with ``n2 > rho``, a rank-deficient
-      core) and the estimate on the dense maps. A projection that stops at
-      ``config.ball_max_iters`` adds ``"ball-projection-capped"`` to
-      ``flags``. At ``epsilon == 0`` on a map with a basis each FB step is
-      affine and elementwise, so a call whose loop provably runs to its cap
-      returns that capped point in closed form, flagged the same; the
-      dense maps and ``epsilon > 0`` run the loop.
+      a full-rank core, ``H (x) A`` with ``n2 == rho``) gets the exact
+      ``l2ball_project_eig``;
+    - every other map (``H (x) A`` with ``n2 > rho``, a rank-deficient
+      core, the dense maps) gets the iterative dual forward-backward
+      projection (FB), with its step from a power-iteration estimate of
+      ``||L||``, a lower bound, formed on the first projection. A
+      projection that stops at ``config.ball_max_iters`` (in the loop or in
+      FB's noiseless closed form) adds ``"ball-projection-capped"`` to
+      ``flags``.
     """
     if L.nu is not None:
-        return L.nu, True, lambda S: l2ball_project_tightframe(S, y, L, epsilon, L.nu)
+        return lambda S: l2ball_project_tightframe(S, y, L, epsilon)
     basis = getattr(L, "basis", None)
     if basis is not None and basis.lam.min() > 0.0:
-        return float(basis.lam.max()), True, lambda S: l2ball_project_eig(S, y, L, epsilon)
-    # IHT's default step needs it up front only on the dense maps
+        return lambda S: l2ball_project_eig(S, y, L, epsilon)
     norm_est = functools.cache(lambda: operator_norm(L, L.shape_in))
 
     def project(S):
@@ -189,25 +182,35 @@ def _ball_machinery(L, y, epsilon, config, flags):
             flags.add("ball-projection-capped")
         return out
 
+    return project
+
+
+def _iht_norm_sq(L):
+    """``||L||^2`` for IHT's default step: ``nu`` on a tight frame,
+    ``max(lam)`` of the Gram basis on any other map with one (both exact),
+    and the power-iteration estimate inflated by ``_IHT_NORM_MARGIN`` on the
+    maps without a basis (the dense maps)."""
+    if L.nu is not None:
+        return L.nu
+    basis = getattr(L, "basis", None)
     if basis is not None:
-        return float(basis.lam.max()), True, project
-    return norm_est() ** 2, False, project
+        return float(basis.lam.max())
+    return _IHT_NORM_MARGIN**2 * operator_norm(L, L.shape_in) ** 2
 
 
-def _certified_result(L, y, epsilon, s_cert, trace, converged, diverged, flags,
-                      raw_residual=None):
-    """``SolveResult`` of the certified estimate ``s_cert`` on the map L,
-    without the estimate. ``raw_residual`` (the uncertified final
-    iterate's) defaults to the certified one. An iterate can stall without
-    being feasible, e.g. on an unreachable ball: only a certified point on
-    the ball (within ``1e-6*||y||`` slack) has converged."""
-    res = float(np.linalg.norm(y - L.forward(s_cert)))
+def _certified_result(residual, raw_residual, y, epsilon, trace, converged, diverged,
+                      flags):
+    """``SolveResult`` without the estimate, from the residual norms
+    ``||y - L(S)||`` of the certified estimate and of the uncertified final
+    iterate. An iterate can stall without being feasible, e.g. on an
+    unreachable ball: only a certified point on the ball (within
+    ``1e-6*||y||`` slack) has converged."""
     return SolveResult(
         s_hat=None,
         iterations=len(trace),
-        residual=res,
-        raw_residual=res if raw_residual is None else raw_residual,
-        converged=bool(converged and res <= epsilon + 1e-6 * np.linalg.norm(y)),
+        residual=residual,
+        raw_residual=raw_residual,
+        converged=bool(converged and residual <= epsilon + 1e-6 * np.linalg.norm(y)),
         diverged=diverged,
         trace=tuple(trace),
         flags=tuple(sorted(flags)),
@@ -289,7 +292,7 @@ def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=Non
     """
     y = np.asarray(y, dtype=np.float64)
     flags = set() if flags is None else flags
-    _, _, ball_project = _ball_machinery(L, y, epsilon, config, flags)
+    ball_project = _ball_projection(L, y, epsilon, config, flags)
     proxes = [prior_prox, lambda S, w: ball_project(S)]
     if simplex:
         proxes.append(lambda S, w: simplex_project_rows(S))
@@ -299,8 +302,9 @@ def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=Non
     s_cert = ball_project(s)
     if simplex:
         s_cert = simplex_project_rows(s_cert)
-    return s_cert, _certified_result(L, y, epsilon, s_cert, trace, converged, diverged,
-                                     flags, raw_residual=raw_residual)
+    residual = float(np.linalg.norm(y - L.forward(s_cert)))
+    return s_cert, _certified_result(residual, raw_residual, y, epsilon, trace, converged,
+                                     diverged, flags)
 
 
 def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> SolveResult:
@@ -349,9 +353,10 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     orthogonalization that makes the coefficient Gram matrix diagonal while
     preserving per-source energy ratios; (4) ``S = simplex(W^T theta)``, the
     row-simplex projection in the image domain. The new residual feeds the
-    next step. ``gamma`` defaults to ``1/||L||^2`` (``W`` is
-    orthonormal) from ``_ball_machinery``: exact on the Kronecker maps, an
-    estimated norm inflated by ``_IHT_NORM_MARGIN`` on the dense map.
+    next step, and the last one certifies the estimate: K iterations apply
+    L K times. ``gamma`` defaults to ``1/||L||^2`` (``W`` is orthonormal)
+    from ``_iht_norm_sq``: exact on the Kronecker maps, an estimated norm
+    inflated by ``_IHT_NORM_MARGIN`` on the dense map.
 
     ``step_monitor(iteration, step, theta)``, when given, is called after
     each of the four steps with the current coefficient matrix (read-only
@@ -375,8 +380,7 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     flags: set[str] = set()
     gamma = config.gamma_step
     if gamma is None:
-        norm_sq, exact, _ = _ball_machinery(L, y, epsilon, config, flags)
-        gamma = 1.0 / (norm_sq if exact else _IHT_NORM_MARGIN**2 * norm_sq)
+        gamma = 1.0 / _iht_norm_sq(L)
     notify = step_monitor if step_monitor is not None else (lambda it, step, theta: None)
 
     S = np.zeros(shape)
@@ -418,7 +422,10 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         if change < config.rel_tol:
             converged = True
             break
-    result = _certified_result(L, y, epsilon, S, trace, converged, diverged, flags)
+    # r is the residual of S, the certified estimate: the loop updates both
+    residual = float(np.linalg.norm(r))
+    result = _certified_result(residual, residual, y, epsilon, trace, converged, diverged,
+                               flags)
     return dataclasses.replace(result, s_hat=S)
 
 

@@ -172,6 +172,16 @@ def test_recover_rejects_unknown_wavelet(scene_dir, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("method", ["ppxa-tv", "ppxa-l1", "l1-ss"])
+def test_recover_rejects_non_finite_beta(scene_dir, tmp_path, method):
+    # a validation error, not a solve that diverges at once
+    config = write_json(tmp_path / "solver.json", {"beta": float("nan")})
+    assert main([
+        "recover", "--measurements", str(scene_dir / "measurements.f64"),
+        "--method", method, "--config", config, "--out", str(tmp_path),
+    ]) == 2
+
+
 def test_recover_iht_requires_budget(scene_dir, tmp_path):
     assert main([
         "recover", "--measurements", str(scene_dir / "measurements.f64"),

@@ -173,6 +173,10 @@ def test_smoke_instance_classifies_perfectly():
     {"snrs_db": ()},
     {"trials": 0},
     {"wavelet": "db2"},  # rejected before a scene is generated
+    {"core": "foo"},
+    {"snrs_db": (0.0,)},
+    {"snrs_db": (math.nan,)},
+    {"snrs_db": (-5.0,)},
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):

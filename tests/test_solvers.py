@@ -354,6 +354,21 @@ def test_tight_frame_splitting_applies_the_core_once_per_iteration(det_scene, me
     assert all(type(change) is float for change in res.trace)
 
 
+def test_iht_applies_the_core_once_per_iteration(det_scene):
+    # K iterations on the tight decorrelating map: one adjoint for each
+    # gradient step and one forward for each iterate's residual; the last
+    # residual certifies the estimate, so nothing applies the core again
+    scene = det_scene
+    core = CountingCore(RC, 32, 64, 18)
+    op = SamplingOperator("decorrelating", core, 64, 4, mixing=scene.mixing)
+    y = op.forward(scene.cube.data)
+    core.calls.update(forward=0, adjoint=0)
+    res = iht_ss_solve(RecoveryProblem(noiseless(y), op, Wavelet2D(8, 8), 2),
+                       SolverConfig(max_iters=7, iht_k=12, rel_tol=0.0))
+    assert res.iterations == 7
+    assert core.calls == {"forward": 7, "adjoint": 7}
+
+
 def test_iht_default_step_is_safe_on_a_non_tight_map():
     # the cell where 50 power iterations give |M| ~ 11.556 against an exact
     # 11.582: uniform gaussian 16x16x8 rho=2, experiment seed 3, first cell
@@ -435,8 +450,8 @@ def test_iht_default_step_is_exact_on_a_uniform_source_map():
 
 
 def _ball_route(L, monkeypatch):
-    """The projection ``_ball_machinery`` sends L's ball to, with its
-    ``(norm_sq, exact)``; one projection of a point off the ball is run."""
+    """The projection ``_ball_projection`` sends L's ball to; one
+    projection of a point off the ball is run."""
     called = []
     for name in ("l2ball_project_tightframe", "l2ball_project_eig", "l2ball_project_fb"):
         def spy(*args, _name=name, _original=getattr(solvers, name)):
@@ -445,11 +460,10 @@ def _ball_route(L, monkeypatch):
 
         monkeypatch.setattr(solvers, name, spy)
     y = 3.0 * np.random.default_rng(0).normal(size=L.m)
-    norm_sq, exact, project = solvers._ball_machinery(
-        L, y, 0.1, SolverConfig(ball_max_iters=5), set())
+    project = solvers._ball_projection(L, y, 0.1, SolverConfig(ball_max_iters=5), set())
     project(np.zeros(L.shape_in))
     (route,) = called
-    return route, norm_sq, exact
+    return route
 
 
 def test_ball_routing_reads_the_map_structure(det_scene, monkeypatch):
@@ -483,14 +497,16 @@ def test_ball_routing_reads_the_map_structure(det_scene, monkeypatch):
         (deficient, "l2ball_project_fb"),
     ]
     for L, want in cases:
-        route, norm_sq, exact = _ball_route(L, monkeypatch)
-        assert route == want
-        if L.basis is not None:
-            # nu on the tight frames is max(lam) too
-            assert exact and norm_sq == float(L.basis.lam.max())
-        else:
-            assert not exact
+        assert _ball_route(L, monkeypatch) == want
         monkeypatch.undo()
+        # IHT's step rule: exact where the map has a basis (nu on the tight
+        # frames is max(lam) too), the inflated estimate on the rest
+        norm_sq = solvers._iht_norm_sq(L)
+        if L.basis is not None:
+            assert norm_sq == float(L.basis.lam.max())
+        else:
+            estimate = operator_norm(L, L.shape_in)
+            assert norm_sq == solvers._IHT_NORM_MARGIN**2 * estimate**2
 
 
 def test_power_iteration_runs_only_where_its_estimate_is_used(det_scene, monkeypatch):
@@ -855,11 +871,15 @@ def test_source_recovery_rejects_a_mixing_with_other_channels(scheme):
 def test_solver_config_validation():
     for bad in (
         dict(beta=0.0),
+        dict(beta=float("nan")),
+        dict(beta=float("inf")),
         dict(max_iters=0),
         dict(rel_tol=1.0),
         dict(rel_tol=-0.1),
         dict(iht_k=0),
         dict(gamma_step=0.0),
+        dict(gamma_step=float("nan")),
+        dict(gamma_step=float("inf")),
         dict(tv_max_iters=0),
         dict(ball_max_iters=0),
     ):
