@@ -3,8 +3,8 @@ spectra/label CSVs, and the results CSV.
 
 Every array file ``<path>`` is paired with a sidecar ``<path>.json``
 describing its shape and layout, so the data stays parseable from any
-language without this package. Infinite SNR values are stored as the
-string ``"inf"`` (strict JSON has no infinity literal).
+language without this package. Infinities are stored as the strings
+``"inf"`` and ``"-inf"`` (strict JSON has no infinity literal).
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ def _read_sidecar(path: str, layout: str | None = "pixel-major") -> dict:
     return meta
 
 
-def _encode_snr(snr_db: float) -> Any:
-    return "inf" if math.isinf(snr_db) else float(snr_db)
-
-
 def _decode_snr(value: Any) -> float:
-    return math.inf if value == "inf" else float(value)
+    """A number ``_jsonable`` wrote: a JSON number, "inf" or "-inf"."""
+    return float(value)
 
 
 def write_cube(cube: HsiCube, path: str) -> None:
@@ -136,7 +133,7 @@ def write_measurements(mset: MeasurementSet, path: str) -> None:
     meta = {
         "m": int(np.asarray(mset.y).size),
         "epsilon": float(mset.epsilon),
-        "snr_db": _encode_snr(mset.snr_db),
+        "snr_db": _jsonable(float(mset.snr_db)),
         "descriptor": _jsonable(dict(mset.descriptor)),
         "dtype": "f64le",
     }
@@ -161,12 +158,12 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
     return obj
 
 

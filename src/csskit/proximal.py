@@ -107,15 +107,20 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
 
     ``image`` is one 2-D image or a ``(k, rows, cols)`` stack; each image of
     a stack gets its own prox, computed in one loop over the whole stack.
-    Iterates p <- (p + tau*grad(div p - image/lam)) / (1 + tau*|...|) and
-    returns image - lam*div(p). An image stops when its relative dual change
-    drops below ``tol``: its dual field at that iteration is recorded as its
-    result, and the iterates the loop goes on computing for it, while other
-    images still iterate, are discarded. The ROF objective
-    lam*TV(u) + 0.5*||u - image||^2 of each output image never exceeds its
-    value at the input (guarded explicitly). Every step is elementwise or a
-    per-image sum, so a stack gives exactly the results of separate 2-D
-    calls, also when another image of the stack holds a NaN or inf.
+    Iterates g = grad(tau*(div p - image/lam)), p <- (p + g) / (1 + |g|),
+    and returns image - lam*div(p). That is Chambolle's step p <- (p +
+    tau*grad(...)) / (1 + tau*|grad(...)|) with tau folded into the
+    divergence term: the same iteration in exact arithmetic, and the same
+    results as that order to rounding, not to the byte. An image stops
+    when its relative dual change drops below ``tol``, both norms taken as
+    one dot product per image and dual component: its dual field at that
+    iteration is recorded as its result, and the iterates the loop goes on
+    computing for it, while other images still iterate, are discarded. The
+    ROF objective lam*TV(u) + 0.5*||u - image||^2 of each output image
+    never exceeds its value at the input (guarded explicitly). Every step
+    is elementwise or a per-image sum, so a stack gives exactly the results
+    of separate 2-D calls, also when another image of the stack holds a NaN
+    or inf.
 
     ``dual``, when given, is a float64 array of shape ``(2, k, rows, cols)``
     (``(2, rows, cols)`` for one image), read as the starting dual field
@@ -146,71 +151,83 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     # each dual component is one flat vector over the stack, led by ``cols``
     # zeros; its ignored entries stay zero, so div p is
     # (px - px shifted by cols) + (py - py shifted by 1); the buffers and
-    # their views are built once, and the loop allocates no stack-sized array
-    bufs = np.zeros((2, 2, cols + n))
+    # their views are built once, and the loop allocates no stack-sized array;
+    # rows 2 and 3 of a buffer take the change of its dual in the next step
+    bufs = np.zeros((2, 4, cols + n))
     if dual is not None:
-        bufs[0, :, cols:] = dual.reshape(2, n)
+        bufs[0, :2, cols:] = dual.reshape(2, n)
+
+    def pair(buf, first, second):
+        # read-only (2, n) view of the contiguous ``buf``: the n entries from
+        # flat index ``first`` over those from ``second``
+        view = np.ndarray((2, n), buffer=buf, offset=first * buf.itemsize,
+                          strides=((second - first) * buf.itemsize, buf.itemsize))
+        view.flags.writeable = False
+        return view
 
     def views(b):
-        px, py = b[0, cols:], b[1, cols:]
-        # last: the ignored entries, the last row of px and the last column of py
-        return (b[:, cols:], px, b[0, :n], py, b[1, cols - 1:-1],
-                px.reshape(k, rows, cols)[:, -1], py.reshape(k, rows, cols)[..., -1])
+        both = b[:, cols:]
+        p, change = both[:2], both[2:]
+        # (px shifted by cols, py shifted by 1): b[0, :n] over b[1, cols-1:-1]
+        shifted = pair(b, 0, 2 * cols + n - 1)
+        # (px, py, dx, dy) of each image, as rows and as columns for the dot
+        # products; last: the ignored entries, the last row of px and the
+        # last column of py
+        return (p, shifted, change, both.reshape(4, k, 1, -1), both.reshape(4, k, -1, 1),
+                p[0].reshape(k, rows, cols)[:, -1], p[1].reshape(k, rows, cols)[..., -1])
 
     cur, nxt = map(views, bufs)
-    # div p - image/lam, trailed by ``cols`` zeros for the gradient's shifts
+    # tau*(div p - image/lam), trailed by ``cols`` zeros for the gradient's
+    # shifts, which one read-only view takes as (d shifted by cols, d
+    # shifted by 1)
     d = np.zeros(n + cols)
-    dd, d_down, d_right = d[:n], d[cols:], d[1:n + 1]
+    dd = d[:n]
+    d_shifted = pair(d, cols, 1)
     scaled = stack.reshape(n) / lam
     t = np.empty(n)
     g = np.empty((2, n))
     w = np.empty((2, n))
     g0, g1 = g
+    w0, w1 = w
     # the gradient is 0 on the last row (x) and the last column (y); set by
     # assignment, as a multiply by 0 would keep a NaN that a non-finite pixel
     # leaves there, and the flat shifts would carry it into the next image
     g0_last = g0.reshape(k, rows, cols)[:, -1]
     g1_last = g1.reshape(k, rows, cols)[..., -1]
-    w0, w1 = w
-    sums = w.reshape(2, k, rows * cols)
-    norms = np.empty((2, k))
+    # per image and component, the squared dual norm and squared dual change
+    sums = np.empty((4, k, 1, 1))
+    sums_rows = sums.reshape(4, k)
     # dual field (px, py) of every image, recorded on the iteration its stop
     # test passes, or after the last one while it is still iterating
     p_all = np.empty((2, k, rows, cols))
     live = [True] * k
     for _ in range(int(max_iters)):
-        p, px, px_up, py, py_left, _, _ = cur
+        p, p_shifted, change, both_rows, both_cols, _, _ = cur
         q, _, _, _, _, qx_last, qy_last = nxt
-        np.subtract(px, px_up, out=dd)
-        np.subtract(py, py_left, out=t)
-        dd += t
+        np.subtract(p, p_shifted, out=g)
+        np.add(g0, g1, out=dd)
         dd -= scaled
-        np.subtract(d_down, dd, out=g0)
-        np.subtract(d_right, dd, out=g1)
+        dd *= TV_DUAL_STEP
+        # the gradient of tau*(div p - image/lam) is the whole step
+        np.subtract(d_shifted, dd, out=g)
         g0_last.fill(0.0)
         g1_last.fill(0.0)
         np.square(g, out=w)
         denom = np.sqrt(np.add(w0, w1, out=t), out=t)
-        denom *= TV_DUAL_STEP
         denom += 1.0
-        np.multiply(g, TV_DUAL_STEP, out=q)
-        q += p
+        np.add(p, g, out=q)
         q /= denom
         # the new dual's ignored entries too: denom reads both gradients, so
         # a NaN in the other one at that pixel would reach them
         qx_last.fill(0.0)
         qy_last.fill(0.0)
-        # per-pixel squared dual change in w0 and squared dual norm in w1
-        np.square(np.subtract(q, p, out=g), out=g)
-        np.add(g0, g1, out=w0)
-        np.square(p, out=g)
-        np.add(g0, g1, out=w1)
-        np.add.reduce(sums, axis=2, out=norms)
-        change, base = np.sqrt(norms, out=norms).tolist()
+        np.subtract(q, p, out=change)
+        np.matmul(both_rows, both_cols, out=sums)
         cur, nxt = nxt, cur
-        # the same IEEE operations as on arrays, one image at a time; Python
-        # lists, so an iteration with no stop allocates no array
-        stop = [go and c / max(b, 1e-12) < tol for go, c, b in zip(live, change, base)]
+        # one dot product per image and component; Python lists, so an
+        # iteration with no stop allocates no array
+        stop = [go and math.sqrt(cx + cy) / max(math.sqrt(bx + by), 1e-12) < tol
+                for go, bx, by, cx, cy in zip(live, *sums_rows.tolist())]
         if any(stop):
             p_all[:, stop] = cur[0].reshape(2, k, rows, cols)[:, stop]
             live = [go and not s for go, s in zip(live, stop)]

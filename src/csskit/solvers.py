@@ -49,7 +49,10 @@ class SolverConfig:
     from ``_iht_norm_sq``: exact on every Kronecker map ``B (x) A``; on the
     dense map the power-iteration estimate inflated by 10 % so the step
     stays below the bound); both must be finite and positive. iht_k is the
-    sparsity budget of the hard-thresholding solver.
+    sparsity budget of the hard-thresholding solver. tv_tol and ball_tol,
+    the stop tolerances of the TV prox and ball projection loops, must be
+    finite and nonnegative: a NaN would never stop either loop before its
+    cap.
     """
 
     beta: float = 1.0
@@ -69,6 +72,8 @@ class SolverConfig:
             raise ValueError("iteration budgets must be positive")
         if not 0 <= self.rel_tol < 1:
             raise ValueError("rel_tol must lie in [0, 1)")
+        if not (0.0 <= self.tv_tol < math.inf and 0.0 <= self.ball_tol < math.inf):
+            raise ValueError("tv_tol and ball_tol must be finite and nonnegative")
         if self.iht_k is not None and self.iht_k < 1:
             raise ValueError("iht_k must be positive")
         if self.gamma_step is not None and not 0.0 < self.gamma_step < math.inf:

@@ -88,8 +88,15 @@ def reference_simplex_project_rows(S):
     return np.maximum(S - theta[:, None], 0.0)
 
 
-def reference_tv_prox(image, lam, max_iters, tol, dual=None):
+def reference_tv_prox(image, lam, max_iters, tol, dual=None, folded=True):
     """The one-image Chambolle loop, allocating afresh in every iteration.
+
+    ``folded`` takes the step of ``tv_prox``, whose rounding it reproduces:
+    ``g = grad(tau*(div p - image/lam))``, ``p <- (p + g) / (1 + |g|)``.
+    ``folded=False`` is the textbook order, ``g = grad(div p - image/lam)``,
+    ``p <- (p + tau*g) / (1 + tau*|g|)``: the same iteration in exact
+    arithmetic. Both take the stop test's squared norms as one dot product
+    per dual component.
 
     ``dual``, when given, is the starting field ``(px, py)`` of shape
     ``(2, rows, cols)``; the last row of ``px`` and the last column of
@@ -132,15 +139,25 @@ def reference_tv_prox(image, lam, max_iters, tol, dual=None):
         py[:, -1] = 0.0
     if lam == 0 or image.size < 2:
         return image.copy(), 0, np.stack([px, py])
+
+    def sq(v):
+        return np.dot(v.ravel(), v.ravel())
+
     scaled = image / lam
     iters = 0
     for iters in range(1, max_iters + 1):
-        gx, gy = grad(div(px, py) - scaled)
-        denom = 1.0 + TV_DUAL_STEP * np.sqrt(gx**2 + gy**2)
-        px_new = (px + TV_DUAL_STEP * gx) / denom
-        py_new = (py + TV_DUAL_STEP * gy) / denom
-        change = np.sqrt(np.sum((px_new - px) ** 2 + (py_new - py) ** 2))
-        base = max(np.sqrt(np.sum(px**2 + py**2)), 1e-12)
+        if folded:
+            gx, gy = grad(TV_DUAL_STEP * (div(px, py) - scaled))
+            denom = 1.0 + np.sqrt(gx**2 + gy**2)
+            px_new = (px + gx) / denom
+            py_new = (py + gy) / denom
+        else:
+            gx, gy = grad(div(px, py) - scaled)
+            denom = 1.0 + TV_DUAL_STEP * np.sqrt(gx**2 + gy**2)
+            px_new = (px + TV_DUAL_STEP * gx) / denom
+            py_new = (py + TV_DUAL_STEP * gy) / denom
+        change = np.sqrt(sq(px_new - px) + sq(py_new - py))
+        base = max(np.sqrt(sq(px) + sq(py)), 1e-12)
         px, py = px_new, py_new
         if change / base < tol:
             break

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csskit.io import (
+    _decode_snr,
+    _jsonable,
     read_cube,
     read_labels,
     read_measurements,
@@ -157,6 +159,18 @@ def test_measurements_infinite_snr_encoding(tmp_path):
     meta = json.loads((tmp_path / "meas.f64.json").read_text())
     assert meta["snr_db"] == "inf"
     assert read_measurements(path).snr_db == np.inf
+
+
+@pytest.mark.parametrize("value", [
+    np.inf, -np.inf, np.float64(np.inf), np.float64(-np.inf), np.float32(np.inf),
+    np.float32(-np.inf), 18.0, np.float64(-2.5),
+])
+def test_jsonable_infinities_are_strict_json(value):
+    # strict JSON has no infinity literal; both signs survive as strings
+    text = json.dumps(_jsonable({"snr_db": value, "trace": [value]}), allow_nan=False)
+    back = json.loads(text)
+    assert _decode_snr(back["snr_db"]) == value
+    assert _decode_snr(back["trace"][0]) == value
 
 
 def test_measurements_truncated_raises(tmp_path):

@@ -882,6 +882,12 @@ def test_solver_config_validation():
         dict(gamma_step=float("inf")),
         dict(tv_max_iters=0),
         dict(ball_max_iters=0),
+        dict(tv_tol=float("nan")),
+        dict(tv_tol=float("inf")),
+        dict(tv_tol=-1e-5),
+        dict(ball_tol=float("nan")),
+        dict(ball_tol=float("inf")),
+        dict(ball_tol=-1e-6),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
