@@ -104,11 +104,10 @@ def _cmd_recover(args) -> int:
     fio.write_cube(cube_hat, os.path.join(args.out, "cube_hat.f64"))
     summary = {
         "method": args.method, "iterations": result.iterations,
-        "residual": result.residual, "raw_residual": result.raw_residual,
-        "converged": result.converged, "diverged": result.diverged,
-        "flags": list(result.flags),
+        "residual": result.residual, "converged": result.converged,
+        "diverged": result.diverged, "flags": list(result.flags),
     }
-    fio._write_json(os.path.join(args.out, "result.json"), summary)
+    fio._write_json(os.path.join(args.out, "result.json"), fio._jsonable(summary))
     if result.diverged:
         print("solver diverged", file=sys.stderr)
         return 3

@@ -55,6 +55,13 @@ class NotTightFrame(ValueError):
     """Operator does not satisfy forward(adjoint(.)) = nu * identity."""
 
 
+def _drop_null(sig: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The rank rule: descending singular values ``sig`` of a ``shape``
+    matrix, each ``<= sig[0] * max(shape) * eps`` set to 0 in place."""
+    sig[sig <= sig[0] * max(shape) * np.finfo(np.float64).eps] = 0.0
+    return sig
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -143,15 +150,12 @@ class CoreOperator:
     def _eig(self) -> tuple[np.ndarray, np.ndarray | None]:
         """``(lam, Q)`` with ``A A^T = Q diag(lam) Q^T``: ``U`` and ``sig^2``
         of the thin SVD of ``A`` (``eigh(A A^T)`` would square its condition
-        number), each ``sig <= sig_max * max(A.shape) * eps`` stored as an
-        exact 0. ``Q`` is None (the identity) on the random-convolution
-        core, whose Gram is ``nu * I``."""
+        number), with ``_drop_null``'s zeros. ``Q`` is None (the identity)
+        on the random-convolution core, whose Gram is ``nu * I``."""
         if self.kind == "random-convolution":
             return np.full(self.m_hat, self.nu), None
         U, sig, _ = np.linalg.svd(self._mat, full_matrices=False)
-        lam = np.square(sig)
-        lam[sig <= sig[0] * max(self._mat.shape) * np.finfo(np.float64).eps] = 0.0
-        return lam, U
+        return np.square(_drop_null(sig, self._mat.shape)), U
 
     def _convolve(self, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
         # circular convolution along axis 0 with the filter of half spectrum spec
@@ -297,7 +301,7 @@ class _KronMap:
         if self.B is None:
             return GramBasis(lam_a, q_a, np.ones(self.shape_in[1]), None)
         q_b, sig_b, _ = np.linalg.svd(self.B)
-        sig_b[sig_b <= sig_b[0] * max(self.B.shape) * np.finfo(np.float64).eps] = 0.0
+        sig_b = _drop_null(sig_b, self.B.shape)
         lam_b = np.pad(np.square(sig_b), (0, self.B.shape[0] - sig_b.size))
         return GramBasis(lam_a, q_a, lam_b, q_b)
 

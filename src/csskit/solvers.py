@@ -2,11 +2,12 @@
 source-separation problems, a constrained iterative-hard-thresholding
 variant for disjoint sources, and the classical full-cube baselines.
 
-All solvers share one proximal engine. Each iteration evaluates
-``prox_{m*beta*f_i}`` at its own auxiliary point, averages the results, and
-updates the auxiliary points by ``G_i += 2*S_new - S_old - P_i``. With three
-functions this is the parallel proximal algorithm; with two it reduces to
-Douglas-Rachford up to parameterization (the baselines use that form).
+Every solver is a step run by one loop, ``_iterate``, and certified by
+``_certified_result``. The splitting step evaluates ``prox_{m*beta*f_i}``
+at its own auxiliary point, averages the results, and updates the auxiliary
+points by ``G_i += 2*S_new - S_old - P_i``. With three functions this is
+the parallel proximal algorithm; with two it reduces to Douglas-Rachford up
+to parameterization (the baselines use that form).
 """
 
 from __future__ import annotations
@@ -124,35 +125,36 @@ class RecoveryProblem:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver output: estimates, certification residuals, and the trace.
+    """Solver output: the certified estimate, its residual, and the trace.
 
     ``residual`` is ``||y - op(S_hat)||`` of the returned (certified)
-    estimate; ``raw_residual`` belongs to the uncertified final iterate.
-    ``converged`` means the iterate-change criterion fired AND the certified
-    point sits on the measurement ball (within 1e-6*||y|| slack); a stalled
-    infeasible run reports False. ``trace`` holds one float per iteration,
-    the relative change ``||S_k - S_{k-1}|| / max(||S_{k-1}||, 1)`` of the
-    iterate that the stopping test reads; ``residual`` and ``raw_residual``
-    are the only residuals reported. ``flags`` names
+    estimate. ``converged`` means the iterate-change criterion fired AND the
+    certified point sits on the measurement ball (within 1e-6*||y|| slack);
+    a stalled infeasible run reports False. ``diverged`` means an iterate or
+    the certified residual went non-finite: the estimate is the last finite
+    iterate, uncertified and with ``residual = inf`` where the certificate
+    overflowed. ``trace`` holds one float per iteration, the relative change
+    ``||S_k - S_{k-1}|| / max(||S_{k-1}||, 1)`` of the iterate that the
+    stopping test reads; ``iterations`` is its length. ``flags`` names
     what went wrong along the way: ``"ball-projection-capped"`` when an
     iterative ball projection stopped at its iteration cap,
     ``"tv-prox-capped"`` when a TV prox did.
     """
 
     s_hat: np.ndarray | None
-    iterations: int
     residual: float
-    raw_residual: float
     converged: bool
     diverged: bool
     trace: tuple
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if len(self.trace) != self.iterations:
-            raise ValueError("trace must have one entry per iteration")
-        if not math.isfinite(self.residual):
-            raise ValueError("certified residual must be finite")
+        if not (math.isfinite(self.residual) or self.diverged and self.residual == math.inf):
+            raise ValueError("certified residual must be finite, or inf on a diverged solve")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def _ball_projection(L, y, epsilon, config, flags):
@@ -203,18 +205,18 @@ def _iht_norm_sq(L):
     return _IHT_NORM_MARGIN**2 * operator_norm(L, L.shape_in) ** 2
 
 
-def _certified_result(residual, raw_residual, y, epsilon, trace, converged, diverged,
-                      flags):
-    """``SolveResult`` without the estimate, from the residual norms
-    ``||y - L(S)||`` of the certified estimate and of the uncertified final
-    iterate. An iterate can stall without being feasible, e.g. on an
-    unreachable ball: only a certified point on the ball (within
-    ``1e-6*||y||`` slack) has converged."""
+def _certified_result(s_hat, r, y, epsilon, trace, converged, diverged, flags):
+    """The one builder of ``SolveResult``: ``s_hat`` with its residual
+    ``r = y - L(s_hat)``. An iterate can stall without being feasible, e.g.
+    on an unreachable ball: only a certified point on the ball (within
+    ``1e-6*||y||`` slack) has converged. A residual norm that overflows
+    marks the solve diverged, with residual inf."""
+    residual = float(np.linalg.norm(r))
+    if not math.isfinite(residual):
+        residual, diverged = math.inf, True
     return SolveResult(
-        s_hat=None,
-        iterations=len(trace),
+        s_hat=s_hat,
         residual=residual,
-        raw_residual=raw_residual,
         converged=bool(converged and residual <= epsilon + 1e-6 * np.linalg.norm(y)),
         diverged=diverged,
         trace=tuple(trace),
@@ -222,37 +224,25 @@ def _certified_result(residual, raw_residual, y, epsilon, trace, converged, dive
     )
 
 
-def _run_engine(proxes, shape, config):
-    """Averaged proximal splitting over an arbitrary prox list, from 0.
-
-    Returns ``(s, trace, converged, diverged)``: the last average, the
-    relative change of each iteration (the stop test's ``rel_tol`` reads
-    it), whether that change fell below ``config.rel_tol``, and whether an
-    average went non-finite (the loop stops there and ``s`` is the last
-    finite one). The engine applies no map itself: a residual is the
-    caller's, formed once after the loop.
+def _iterate(step, s, config):
+    """The loop of every solver: ``s = step(s)``, at most
+    ``config.max_iters`` times. Returns ``(s, trace, converged, diverged)``,
+    ``trace`` the relative change ``||s_new - s|| / max(||s||, 1)`` of each
+    step. It stops as converged once a change falls below
+    ``config.rel_tol``, and as diverged at the first non-finite ``s_new``,
+    keeping the last finite ``s``. A step holds its own state in a closure.
     """
-    m = len(proxes)
-    weight = m * config.beta
-    gammas = [np.zeros(shape) for _ in proxes]
-    s = np.zeros(shape)
     trace = []
-    converged = diverged = False
     for _ in range(config.max_iters):
-        ps = [prox(g, weight) for prox, g in zip(proxes, gammas)]
-        s_new = sum(ps) / m
+        s_new = step(s)
         if not np.all(np.isfinite(s_new)):
-            diverged = True
-            break
-        for g, p in zip(gammas, ps):
-            g += 2.0 * s_new - s - p
+            return s, trace, False, True
         change = float(np.linalg.norm(s_new - s) / max(np.linalg.norm(s), 1.0))
         s = s_new
         trace.append(change)
         if change < config.rel_tol:
-            converged = True
-            break
-    return s, trace, converged, diverged
+            return s, trace, True, False
+    return s, trace, False, False
 
 
 def _tv_columns_prox(rows, cols, k, config, flags):
@@ -286,12 +276,13 @@ def _l1_wavelet_prox(wav):
 
 def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=None):
     """Minimize the prior over the measurement ball of L (and, with
-    ``simplex``, the row simplex) by the proximal engine, on ``L.shape_in``
-    matrices.
+    ``simplex``, the row simplex) by proximal splitting from 0, on
+    ``L.shape_in`` matrices.
 
     The final average is certified by one ball projection followed by one
-    simplex projection. ``flags`` is the set the prior's prox reports into,
-    if it reports at all; the result's flags also name the ball's. Returns
+    simplex projection: a tight-frame solve of K iterations applies L
+    K + 2 times. ``flags`` is the set the prior's prox reports into, if it
+    reports at all; the result's flags also name the ball's. Returns
     ``(estimate, result)``; the caller attaches the estimate to the result
     in its own terms.
     """
@@ -301,15 +292,25 @@ def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=Non
     proxes = [prior_prox, lambda S, w: ball_project(S)]
     if simplex:
         proxes.append(lambda S, w: simplex_project_rows(S))
+    m = len(proxes)
+    weight = m * config.beta
+    gammas = [np.zeros(L.shape_in) for _ in proxes]
 
-    s, trace, converged, diverged = _run_engine(proxes, L.shape_in, config)
-    raw_residual = float(np.linalg.norm(y - L.forward(s)))
+    def step(s):
+        ps = [prox(g, weight) for prox, g in zip(proxes, gammas)]
+        s_new = sum(ps) / m
+        for g, p in zip(gammas, ps):
+            g += 2.0 * s_new - s - p
+        return s_new
+
+    s, trace, converged, diverged = _iterate(step, np.zeros(L.shape_in), config)
     s_cert = ball_project(s)
     if simplex:
         s_cert = simplex_project_rows(s_cert)
-    residual = float(np.linalg.norm(y - L.forward(s_cert)))
-    return s_cert, _certified_result(residual, raw_residual, y, epsilon, trace, converged,
-                                     diverged, flags)
+    result = _certified_result(None, y - L.forward(s_cert), y, epsilon, trace, converged,
+                               diverged, flags)
+    # a projection that overflowed leaves the last average as the estimate
+    return (s_cert if np.all(np.isfinite(s_cert)) else s), result
 
 
 def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> SolveResult:
@@ -378,7 +379,6 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         raise ValueError("sparsity budget below the source count")
     k = config.iht_k
     y = problem.measurements.y
-    epsilon = problem.measurements.epsilon
     wav = problem.wavelet
     L = SourceSpaceMap(problem.operator, problem.effective_mixing)
     shape = L.shape_in
@@ -387,12 +387,11 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
     if gamma is None:
         gamma = 1.0 / _iht_norm_sq(L)
     notify = step_monitor if step_monitor is not None else (lambda it, step, theta: None)
+    r, it = y, 0  # the residual of the step's input (S = 0 first), steps taken
 
-    S = np.zeros(shape)
-    r = y  # the residual of S = 0
-    trace = []
-    converged = diverged = False
-    for it in range(1, config.max_iters + 1):
+    def step(S):
+        nonlocal r, it
+        it += 1
         theta = wav.forward_cols(S + gamma * L.adjoint(r))
         notify(it, 1, theta)
         theta = hard_threshold_topk(theta.ravel(order="F"), k).reshape(shape, order="F")
@@ -401,9 +400,10 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
             fro = np.linalg.norm(theta)
         if not math.isfinite(fro):
             # squared norms overflow before the iterate itself goes non-finite,
-            # and nan scaling would crash the svd; bail out as diverged
-            diverged = True
-            break
+            # and nan scaling would crash the svd: a nan iterate stops the loop
+            # as diverged. Past here |theta| <= sqrt(n1), so every iterate is
+            # finite and r stays the residual of the loop's S.
+            return np.full(shape, np.nan)
         if fro > 0.0:
             col_norms = np.linalg.norm(theta, axis=0)
             if np.any(col_norms == 0.0):
@@ -417,21 +417,12 @@ def iht_ss_solve(problem: RecoveryProblem, config: SolverConfig,
         S_new = simplex_project_rows(wav.inverse_cols(theta))
         if step_monitor is not None:
             step_monitor(it, 4, wav.forward_cols(S_new))
-        if not np.all(np.isfinite(S_new)):
-            diverged = True
-            break
-        change = float(np.linalg.norm(S_new - S) / max(np.linalg.norm(S), 1.0))
-        S = S_new
-        r = y - L.forward(S)
-        trace.append(change)
-        if change < config.rel_tol:
-            converged = True
-            break
-    # r is the residual of S, the certified estimate: the loop updates both
-    residual = float(np.linalg.norm(r))
-    result = _certified_result(residual, residual, y, epsilon, trace, converged, diverged,
-                               flags)
-    return dataclasses.replace(result, s_hat=S)
+        r = y - L.forward(S_new)
+        return S_new
+
+    S, trace, converged, diverged = _iterate(step, np.zeros(shape), config)
+    return _certified_result(S, r, y, problem.measurements.epsilon, trace, converged,
+                             diverged, flags)
 
 
 def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float,

@@ -1,5 +1,6 @@
 """CLI pipeline: artifact flow between subcommands and exit-code contract."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -201,6 +202,24 @@ def test_recover_reports_divergence(scene_dir, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     # the summary still lands on disk so the failure can be inspected
     assert json.loads((tmp_path / "result.json").read_text())["diverged"] is True
+
+
+def test_recover_reports_an_overflowing_solve(scene_dir, tmp_path, capsys):
+    # measurements near the top of the float range overflow the splitting's
+    # second average and its certified residual: exit 3, residual "inf"
+    mset = fio.read_measurements(str(scene_dir / "measurements.f64"))
+    y = mset.y * (1e150 / np.abs(mset.y).max())
+    meas = tmp_path / "huge" / "measurements.f64"
+    meas.parent.mkdir()
+    fio.write_measurements(dataclasses.replace(mset, y=y), str(meas))
+    config = write_json(tmp_path / "solver.json", {"max_iters": 5})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        code = main(["recover", "--measurements", str(meas), "--method", "ppxa-l1",
+                     "--config", config, "--out", str(tmp_path)])
+    assert code == 3
+    assert "diverged" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "result.json").read_text())
+    assert summary["diverged"] is True and summary["residual"] == "inf"
 
 
 def test_bounds_measurement_query(tmp_path, capsys):

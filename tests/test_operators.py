@@ -10,6 +10,7 @@ from csskit.operators import (
     NotTightFrame,
     SamplingOperator,
     SourceSpaceMap,
+    _drop_null,
     add_noise,
     decorrelate_measurements,
     make_sampling_operator,
@@ -239,6 +240,14 @@ def test_source_space_map_matches_composition():
     S = rng.random((16, 3))
     np.testing.assert_allclose(
         L.forward(S), dec.core.forward(S).ravel(order="F"), atol=1e-14)
+
+
+def test_rank_rule_scales_with_the_matrix_size():
+    # the core's and the right factor's rank: a singular value counts as 0
+    # up to sig_max * max(shape) * eps, so 3 eps on a 4-row matrix is 0
+    eps = np.finfo(np.float64).eps
+    assert _drop_null(np.array([1.0, 3.0 * eps]), (4, 2)).tolist() == [1.0, 0.0]
+    assert _drop_null(np.array([1.0, 5.0 * eps]), (4, 2)).tolist() == [1.0, 5.0 * eps]
 
 
 @pytest.mark.parametrize("rho", [2, 3])

@@ -204,6 +204,43 @@ def test_iht_infeasible_ball_reports_unconverged():
     _assert_unconverged_on_infeasible_ball(res)
 
 
+def test_unconstrained_solve_on_the_ball_has_not_converged(det_scene):
+    # one iteration on a tight frame: the ball projection certifies the
+    # estimate onto the ball, but the iterate-change test never fired
+    scene = det_scene
+    op = make_sampling_operator(
+        "decorrelating", RC, 64, 4, seed=18, m_hat=32, mixing=scene.mixing
+    )
+    y = op.forward(scene.cube.data)
+    res = l1_ss_synthesis_solve(y, op, scene.mixing, Wavelet2D(8, 8), 0.0,
+                                SolverConfig(max_iters=1))
+    assert res.iterations == 1 and res.trace[0] >= SolverConfig().rel_tol
+    assert res.residual <= 1e-6 * np.linalg.norm(y)
+    assert not res.converged and not res.diverged
+
+
+@pytest.mark.parametrize("method, scale, iterations",
+                         [("ppxa-l1", 1e150, 1), ("ppxa-tv", 1e150, 1), ("iht", 1e200, 0)])
+def test_overflowing_measurements_stop_the_solve_as_diverged(det_scene, method, scale,
+                                                             iterations):
+    # the second splitting average, and IHT's first coefficient norm, overflow:
+    # the loop stops there and the certified residual is inf
+    scene = det_scene
+    op = make_sampling_operator(
+        "decorrelating", RC, 64, 4, seed=18, m_hat=16, mixing=scene.mixing
+    )
+    y = op.forward(scene.cube.data)
+    y *= scale / np.abs(y).max()
+    prior = "tv" if method == "ppxa-tv" else "l1-wavelet"
+    problem = RecoveryProblem(noiseless(y), op, Wavelet2D(8, 8), 2, prior=prior)
+    config = SolverConfig(max_iters=5, iht_k=12)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res = (iht_ss_solve if method == "iht" else ppxa_solve)(problem, config)
+    assert res.diverged and not res.converged
+    assert res.iterations == iterations
+    assert res.residual == np.inf and np.all(np.isfinite(res.s_hat))
+
+
 def test_ppxa_flags_capped_ball_projection(det_scene):
     scene = det_scene
     config = SolverConfig(beta=0.3, max_iters=5, rel_tol=0.0, ball_max_iters=2)
@@ -318,24 +355,26 @@ def test_iht_iterates_on_the_image(det_scene):
     )
     y = op.forward(scene.cube.data)
     wav = CountingWavelet(8, 8)
-    res = iht_ss_solve(RecoveryProblem(noiseless(y), op, wav, 2),
-                       SolverConfig(max_iters=10, iht_k=12, rel_tol=0.0))
+    problem = RecoveryProblem(noiseless(y), op, wav, 2)
+    res = iht_ss_solve(problem, SolverConfig(max_iters=10, iht_k=12, rel_tol=0.0))
     assert res.iterations == 10
     assert wav.calls == {"forward_cols": 10, "inverse_cols": 10}
     # s_hat is the simplex projection itself, not a round trip through theta
     assert np.all(res.s_hat >= 0.0)
     np.testing.assert_allclose(simplex_project_rows(res.s_hat), res.s_hat,
                                rtol=0.0, atol=1e-15)
-    # the last iterate is the certified estimate
-    assert res.residual == res.raw_residual
+    # the last iterate is the certified estimate, and its residual the last
+    # one the loop formed
+    L = SourceSpaceMap(op, problem.effective_mixing)
+    assert res.residual == float(np.linalg.norm(y - L.forward(res.s_hat)))
 
 
 @pytest.mark.parametrize("method", ["ppxa-l1", "ppxa-tv", "l1-ss"])
 def test_tight_frame_splitting_applies_the_core_once_per_iteration(det_scene, method):
     # K iterations on the tight decorrelating map: one forward and one
     # adjoint per ball projection (the K iterations' and the certifying
-    # one), then one forward each for the final average's raw residual and
-    # the certified residual; nothing forms a per-iteration residual
+    # one), then one forward for the certified residual; nothing forms a
+    # per-iteration residual
     scene = det_scene
     core = CountingCore(RC, 32, 64, 18)
     op = SamplingOperator("decorrelating", core, 64, 4, mixing=scene.mixing)
@@ -349,7 +388,7 @@ def test_tight_frame_splitting_applies_the_core_once_per_iteration(det_scene, me
         prior = "tv" if method == "ppxa-tv" else "l1-wavelet"
         res = ppxa_solve(RecoveryProblem(noiseless(y), op, wav, 2, prior=prior), config)
     assert res.iterations == 7
-    assert core.calls == {"forward": 10, "adjoint": 8}
+    assert core.calls == {"forward": 9, "adjoint": 8}
     assert len(res.trace) == 7
     assert all(type(change) is float for change in res.trace)
 
@@ -400,6 +439,32 @@ def test_iht_default_step_is_safe_on_a_non_tight_map():
     np.testing.assert_allclose(first["theta"], gamma * grad, rtol=1e-9, atol=1e-12)
     assert gamma <= 1.0 / exact**2
     assert gamma >= 0.75 / exact**2
+
+
+def test_iht_default_step_is_safe_on_a_dense_map():
+    # a dense gaussian source map whose 50-step power estimate of ||M|| falls
+    # 0.8 % short: the step stays below 1/sigma_max(M)^2 by its margin
+    scene = generate_scene(SceneSpec(8, 8, channels=4, rho=2, seed=0))
+    op = make_sampling_operator("dense", "gaussian", 64, 4, seed=0, m=32,
+                                mixing=scene.mixing)
+    L = SourceSpaceMap(op, scene.mixing)
+    exact = np.linalg.svd(L.M, compute_uv=False)[0]
+    assert operator_norm(L, L.shape_in) < 0.995 * exact
+    y = op.forward(scene.cube.data)
+    wav = Wavelet2D(8, 8)
+    first = {}
+
+    def monitor(it, step, theta):
+        if (it, step) == (1, 1):
+            first["theta"] = theta.copy()
+
+    iht_ss_solve(RecoveryProblem(noiseless(y), op, wav, 2, mixing=scene.mixing),
+                 SolverConfig(max_iters=1, iht_k=12), step_monitor=monitor)
+    # from S = 0 the first gradient step is gamma * W L^T y
+    grad = wav.forward_cols(L.adjoint(y))
+    gamma = float(np.sum(first["theta"] * grad) / np.sum(grad * grad))
+    np.testing.assert_allclose(first["theta"], gamma * grad, rtol=1e-9, atol=1e-12)
+    assert 0.75 < gamma * exact**2 < 1.0
 
 
 def test_iht_default_step_is_exact_on_a_decorrelating_non_tight_map():
@@ -914,7 +979,8 @@ def test_recovery_problem_validation(det_scene):
 
 
 def test_solve_result_validation():
-    with pytest.raises(ValueError):
-        SolveResult(None, 2, 0.0, 0.0, True, False, trace=((0.0, 0.0),))
-    with pytest.raises(ValueError):
-        SolveResult(None, 0, np.nan, 0.0, True, False, trace=())
+    # a non-finite residual only on a diverged solve, and there only as inf
+    for residual, diverged in ((np.nan, False), (np.inf, False), (np.nan, True)):
+        with pytest.raises(ValueError):
+            SolveResult(None, residual, False, diverged, trace=())
+    assert SolveResult(None, np.inf, False, True, trace=(0.5,)).iterations == 1
