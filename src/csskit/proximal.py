@@ -102,7 +102,7 @@ def tv_norm(image):
     return float(_tv(np.asarray(image, dtype=np.float64)))
 
 
-def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
+def tv_prox(image, lam, max_iters=100, tol=1e-5):
     """Prox of lam*TV at ``image`` via Chambolle's dual projection.
 
     ``image`` is one 2-D image or a ``(k, rows, cols)`` stack; each image of
@@ -120,29 +120,13 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     never exceeds its value at the input (guarded explicitly). Every step
     is elementwise or a per-image sum, so a stack gives exactly the results
     of separate 2-D calls, also when another image of the stack holds a NaN
-    or inf.
-
-    ``dual``, when given, is a float64 array of shape ``(2, k, rows, cols)``
-    (``(2, rows, cols)`` for one image), read as the starting dual field
-    ``(px, py)`` and overwritten with the final one: a warm start for the
-    next call on a nearby image. The entries that ``div`` ignores, the last
-    row of ``px`` and the last column of ``py``, are set to zero on entry
-    and returned as zero. Started inside the pointwise unit ball, the
-    iteration keeps the dual there. An image whose result the ROF guard
-    replaces gets its dual reset to zero. ``dual=None`` starts from zero.
-    ``flags``, when given, is a set that receives ``"tv-prox-capped"`` if an
-    image was still iterating after ``max_iters`` iterations.
+    or inf. The dual starts from zero.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError("expected a 2-D image or a (k, rows, cols) stack")
-    if dual is not None:
-        if dual.shape != (2,) + image.shape or dual.dtype != np.float64:
-            raise ValueError(f"dual must be a float64 array of shape {(2,) + image.shape}")
-        dual[0, ..., -1, :] = 0.0
-        dual[1, ..., -1] = 0.0
     if lam == 0 or image.shape[-2] * image.shape[-1] < 2:
         return image.copy()
     stack = image.reshape((-1,) + image.shape[-2:])
@@ -154,8 +138,6 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
     # their views are built once, and the loop allocates no stack-sized array;
     # rows 2 and 3 of a buffer take the change of its dual in the next step
     bufs = np.zeros((2, 4, cols + n))
-    if dual is not None:
-        bufs[0, :2, cols:] = dual.reshape(2, n)
 
     def pair(buf, first, second):
         # read-only (2, n) view of the contiguous ``buf``: the n entries from
@@ -234,17 +216,12 @@ def tv_prox(image, lam, max_iters=100, tol=1e-5, dual=None, flags=None):
             if not any(live):
                 break
     p_all[:, live] = cur[0].reshape(2, k, rows, cols)[:, live]
-    if flags is not None and any(live):
-        flags.add("tv-prox-capped")
     # _div, not the flat shifts: its boundary terms (-px[-2] where the loop
     # has 0 - px[-2]) decide the sign of a zero in u
     u = stack - lam * _div(p_all[0], p_all[1])
     rof = lam * _tv(u) + 0.5 * np.sum((u - stack) ** 2, axis=(-2, -1))
     worse = rof > lam * _tv(stack)
     u[worse] = stack[worse]
-    if dual is not None:
-        p_all[:, worse] = 0.0
-        dual[...] = p_all.reshape(dual.shape)
     return u.reshape(image.shape)
 
 
@@ -260,7 +237,9 @@ def simplex_project_rows(S):
     rounds of elementwise ``maximum``/``minimum`` sorts every row at once,
     and ``d - 1`` row adds form the prefix sums in ``cumsum``'s order. On
     finite input the result is that of ``np.sort`` and ``np.cumsum`` along
-    the rows, byte for byte; a NaN spoils only its own row. The input is
+    the rows, byte for byte. A row where no ``j`` passes the test (one with
+    a NaN or inf, or an entry so large that ``c_1 - 1`` rounds to ``c_1``)
+    maps to NaN without a warning, and spoils only itself. The input is
     never written, and the output is laid out like ``S - theta``.
     """
     S = np.atleast_2d(np.asarray(S, dtype=np.float64))
@@ -278,7 +257,7 @@ def simplex_project_rows(S):
         css[k] += css[k - 1]
     j = np.arange(1, d + 1)[:, None]
     rho = np.max(j * (u * j > css - 1.0), axis=0)  # largest j satisfying it
-    theta = (css[rho - 1, np.arange(n)] - 1.0) / rho
+    theta = (css[rho - 1, np.arange(n)] - 1.0) / np.where(rho, rho, np.nan)
     return np.maximum(S - theta[:, None], 0.0)
 
 

@@ -1,13 +1,13 @@
-"""Recovery solvers: parallel proximal splitting for the convex
-source-separation problems, a constrained iterative-hard-thresholding
-variant for disjoint sources, and the classical full-cube baselines.
+"""Recovery solvers for the convex source-separation problems, a
+constrained iterative-hard-thresholding variant for disjoint sources, and
+the classical full-cube baselines.
 
 Every solver is a step run by one loop, ``_iterate``, and certified by
-``_certified_result``. The splitting step evaluates ``prox_{m*beta*f_i}``
-at its own auxiliary point, averages the results, and updates the auxiliary
-points by ``G_i += 2*S_new - S_old - P_i``. With three functions this is
-the parallel proximal algorithm; with two it reduces to Douglas-Rachford up
-to parameterization (the baselines use that form).
+``_certified_result``. The wavelet-l1 programs take the parallel proximal
+step (``_ppxa_step``; with two functions it reduces to Douglas-Rachford up
+to parameterization), whose prior prox is closed form. The TV programs take
+a primal-dual step (``_tv_pd_step``) that runs no inner TV prox loop. Both
+steps minimize the paper's convex programs.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ import numpy as np
 from .model import HsiCube, MixingMatrix
 from .operators import MeasurementSet, SamplingOperator, SourceSpaceMap, operator_norm
 from .proximal import (
+    _div,
+    _grad,
     hard_threshold_topk,
     l2ball_project_eig,
     l2ball_project_fb,
     l2ball_project_tightframe,
     simplex_project_rows,
     soft_threshold,
-    tv_prox,
+    tv_prox,  # not called here: kept so every proximal map is reachable from solvers
 )
 from .wavelets import Wavelet2D
 
@@ -45,15 +47,16 @@ _IHT_NORM_MARGIN = 1.1
 class SolverConfig:
     """Iteration controls shared by all solvers.
 
-    beta is the proximal weight of the splitting; gamma_step overrides the
+    beta is the proximal weight of the splitting and the primal step of
+    the TV primal-dual step (``_tv_steps``); gamma_step overrides the
     hard-thresholding step size (default 1/||L||^2 for the source map L,
     from ``_iht_norm_sq``: exact on every Kronecker map ``B (x) A``; on the
     dense map the power-iteration estimate inflated by 10 % so the step
     stays below the bound); both must be finite and positive. iht_k is the
-    sparsity budget of the hard-thresholding solver. tv_tol and ball_tol,
-    the stop tolerances of the TV prox and ball projection loops, must be
-    finite and nonnegative: a NaN would never stop either loop before its
-    cap.
+    sparsity budget of the hard-thresholding solver. ball_tol and tv_tol
+    must be finite and nonnegative: a NaN would never stop the ball
+    projection loop before its cap. tv_max_iters and tv_tol, the settings
+    of a TV prox loop, are validated but read by no solver.
     """
 
     beta: float = 1.0
@@ -137,8 +140,8 @@ class SolveResult:
     ``||S_k - S_{k-1}|| / max(||S_{k-1}||, 1)`` of the iterate that the
     stopping test reads; ``iterations`` is its length. ``flags`` names
     what went wrong along the way: ``"ball-projection-capped"`` when an
-    iterative ball projection stopped at its iteration cap,
-    ``"tv-prox-capped"`` when a TV prox did.
+    iterative ball projection stopped at its cap, and IHT's
+    ``"zero-column"``/``"zero-matrix"`` when thresholding zeroed sources.
     """
 
     s_hat: np.ndarray | None
@@ -245,56 +248,59 @@ def _iterate(step, s, config):
     return s, trace, False, False
 
 
-def _tv_columns_prox(rows, cols, k, config, flags):
-    """Prox of w*TV on each column of an ``(n1, k)`` matrix, every column
-    read as a ``rows x cols`` image; one ``tv_prox`` call over the stack.
+def _tv_steps(beta, simplex):
+    # (tau, sigma) on K = [grad; I], the I block only with the simplex:
+    # ||grad||^2 < 8 on any finite grid and ||I||^2 = 1, so tau = beta and
+    # this sigma make tau * sigma * ||K||^2 < 1 with no norm estimate
+    return beta, 1.0 / (beta * (8.0 + simplex))
 
-    The Chambolle dual is carried from call to call: the splitting calls
-    this prox with one weight at slowly moving points, so the last dual is
-    a warm start. A call that stops at ``config.tv_max_iters`` with an image
-    still iterating adds ``"tv-prox-capped"`` to the ``flags`` set.
+
+def _tv_pd_step(ball_project, shape, beta, simplex, rows, cols):
+    """A Chambolle-Pock step (Chambolle & Pock 2011) on ``min TV(S) +
+    i_ball(L S) + i_simplex(S)``, TV summed over the columns of ``S`` read
+    as ``rows x cols`` images, with ``K = [grad; I]`` (``I`` only with
+    ``simplex``), the ball projection as the primal prox and the steps of
+    ``_tv_steps``. No inner loop; the simplex dual is ``sigma * w``:
+
+        p = proj_unit(p + sigma grad(s_bar))   (pointwise unit ball)
+        w = v - simplex(v),  v = w + s_bar
+        s_new = ball(s + tau (div p - sigma w)),  s_bar = 2 s_new - s
     """
-    dual = np.zeros((2, k, rows, cols))
+    tau, sigma = _tv_steps(beta, simplex)
+    # the gradient dual as (2, k, rows, cols) views laid out like S, so
+    # every image op runs in S's memory order
+    p = np.zeros((2, rows, cols, shape[1])).transpose(0, 3, 1, 2)
+    w = np.zeros(shape)
+    s_bar = np.zeros(shape)
 
-    def prox(X, w):
-        out = tv_prox(X.T.reshape(k, rows, cols), w, config.tv_max_iters, config.tv_tol,
-                      dual=dual, flags=flags)
-        # C order like X, so norms of the iterates sum in an unchanged order
-        return np.ascontiguousarray(out.reshape(k, rows * cols).T)
+    def step(s):
+        nonlocal s_bar
+        gx, gy = _grad((sigma * s_bar).reshape(rows, cols, -1).transpose(2, 0, 1))
+        p[0] += gx
+        p[1] += gy
+        np.divide(p, np.maximum(np.hypot(p[0], p[1]), 1.0), out=p)
+        direction = _div(p[0], p[1]).transpose(1, 2, 0).reshape(shape)  # -grad^T p
+        if simplex:
+            np.add(w, s_bar, out=w)
+            np.subtract(w, simplex_project_rows(w), out=w)
+            direction -= sigma * w
+        s_new = ball_project(s + tau * direction)
+        s_bar = 2 * s_new - s
+        return s_new
 
-    return prox
+    return step
 
 
-def _l1_wavelet_prox(wav):
-    """Prox of w times the analysis prior ``||W S||_1``, W the orthonormal
-    per-column wavelet transform: ``W^T soft(W S, w)``."""
-    def prox(S, w):
-        return wav.inverse_cols(soft_threshold(wav.forward_cols(S), w))
-
-    return prox
-
-
-def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=None):
-    """Minimize the prior over the measurement ball of L (and, with
-    ``simplex``, the row simplex) by proximal splitting from 0, on
-    ``L.shape_in`` matrices.
-
-    The final average is certified by one ball projection followed by one
-    simplex projection: a tight-frame solve of K iterations applies L
-    K + 2 times. ``flags`` is the set the prior's prox reports into, if it
-    reports at all; the result's flags also name the ball's. Returns
-    ``(estimate, result)``; the caller attaches the estimate to the result
-    in its own terms.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    flags = set() if flags is None else flags
-    ball_project = _ball_projection(L, y, epsilon, config, flags)
+def _ppxa_step(ball_project, shape, beta, simplex, prior_prox):
+    """A parallel proximal step on the prior, the ball and, with ``simplex``,
+    the row simplex: each ``prox_{m*beta*f_i}`` at its auxiliary point
+    ``G_i``, their average, and ``G_i += 2*S_new - S_old - P_i``."""
     proxes = [prior_prox, lambda S, w: ball_project(S)]
     if simplex:
         proxes.append(lambda S, w: simplex_project_rows(S))
     m = len(proxes)
-    weight = m * config.beta
-    gammas = [np.zeros(L.shape_in) for _ in proxes]
+    weight = m * beta
+    gammas = [np.zeros(shape) for _ in proxes]
 
     def step(s):
         ps = [prox(g, weight) for prox, g in zip(proxes, gammas)]
@@ -303,25 +309,49 @@ def _splitting_solve(L, y, epsilon, config, prior_prox, simplex=False, flags=Non
             g += 2.0 * s_new - s - p
         return s_new
 
+    return step
+
+
+def _l1_step(wav):
+    """``_ppxa_step`` on the analysis prior ``||W S||_1``, W the orthonormal
+    per-column wavelet transform, whose prox is ``W^T soft(W S, w)``."""
+    return functools.partial(_ppxa_step, prior_prox=lambda S, w: wav.inverse_cols(
+        soft_threshold(wav.forward_cols(S), w)))
+
+
+def _convex_solve(L, y, epsilon, config, make_step, simplex=False):
+    """Minimize a prior over the measurement ball of L (and, with
+    ``simplex``, the row simplex) from 0 by the step ``make_step(
+    ball_project, shape, beta, simplex)``. The final iterate is certified by
+    one ball projection followed by one simplex projection: a tight-frame
+    solve of K iterations applies L K + 2 times. Returns ``(estimate,
+    result)``; the caller attaches the estimate in its own terms.
+    """
+    config = config if config is not None else SolverConfig()
+    y = np.asarray(y, dtype=np.float64)
+    flags: set[str] = set()
+    ball_project = _ball_projection(L, y, epsilon, config, flags)
+    step = make_step(ball_project, L.shape_in, config.beta, simplex)
     s, trace, converged, diverged = _iterate(step, np.zeros(L.shape_in), config)
     s_cert = ball_project(s)
     if simplex:
         s_cert = simplex_project_rows(s_cert)
     result = _certified_result(None, y - L.forward(s_cert), y, epsilon, trace, converged,
                                diverged, flags)
-    # a projection that overflowed leaves the last average as the estimate
+    # a projection that overflowed leaves the last iterate as the estimate
     return (s_cert if np.all(np.isfinite(s_cert)) else s), result
 
 
 def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> SolveResult:
-    """Recover sources by parallel proximal splitting.
+    """Recover sources by proximal splitting.
 
-    Splits the problem into the sparsity/smoothness prior, the indicator of
-    the measurement ball ``||y - L(S)|| <= epsilon``, and (when constraints
-    are on) the indicator of the per-row probability simplex. The returned
-    estimate is the final average certified by one ball projection followed
-    by one simplex projection, so its rows are exactly stochastic; the
-    certified residual may exceed epsilon by a small slack (reported).
+    Minimizes the sparsity/smoothness prior over the measurement ball
+    ``||y - L(S)|| <= epsilon`` and (when constraints are on) the per-row
+    probability simplex: by the parallel proximal step for the wavelet-l1
+    prior, and by the primal-dual step (``_tv_pd_step``) for TV. The
+    returned estimate is the final iterate certified by one ball projection
+    followed by one simplex projection, so its rows are exactly stochastic;
+    the certified residual may exceed epsilon by a small slack (reported).
 
     Parameters
     ----------
@@ -333,18 +363,13 @@ def ppxa_solve(problem: RecoveryProblem, config: SolverConfig | None = None) -> 
     SolveResult
         ``s_hat`` is the certified ``(n1, rho)`` source estimate.
     """
-    config = config if config is not None else SolverConfig()
     wav = problem.wavelet
-    flags: set[str] = set()
-    if problem.prior == "tv":
-        prior_prox = _tv_columns_prox(wav.rows, wav.cols, problem.rho, config, flags)
-    else:
-        prior_prox = _l1_wavelet_prox(wav)
-
-    s_hat, result = _splitting_solve(
+    make_step = (functools.partial(_tv_pd_step, rows=wav.rows, cols=wav.cols)
+                 if problem.prior == "tv" else _l1_step(wav))
+    s_hat, result = _convex_solve(
         SourceSpaceMap(problem.operator, problem.effective_mixing),
-        problem.measurements.y, problem.measurements.epsilon, config, prior_prox,
-        simplex=problem.constraints, flags=flags)
+        problem.measurements.y, problem.measurements.epsilon, config, make_step,
+        simplex=problem.constraints)
     return dataclasses.replace(result, s_hat=s_hat)
 
 
@@ -437,9 +462,8 @@ def bpdn_solve(y, operator: SamplingOperator, wavelet: Wavelet2D, epsilon: float
     """
     if operator.scheme == "decorrelating":
         raise ValueError("cube baselines need dense or uniform measurements")
-    config = config if config is not None else SolverConfig()
     # a dense or uniform operator maps the cube straight to data space
-    x, result = _splitting_solve(operator, y, epsilon, config, _l1_wavelet_prox(wavelet))
+    x, result = _convex_solve(operator, y, epsilon, config, _l1_step(wavelet))
     cube = HsiCube(wavelet.rows, wavelet.cols, operator.n2, x)
     return cube, result
 
@@ -449,19 +473,16 @@ def tvdn_solve(y, operator: SamplingOperator, epsilon: float,
                cols: int) -> tuple[HsiCube, SolveResult]:
     """Full-cube baseline: minimum per-channel total variation.
 
-    Same structure as the l1 baseline with the per-channel TV prox as the
-    prior; the unknown is the cube itself. ``rows``/``cols`` fix the spatial
-    unflattening of the pixel axis.
+    Minimizes the channels' summed TV over the measurement ball by the TV
+    step of ``ppxa_solve`` without the simplex; the unknown is the cube
+    itself. ``rows``/``cols`` fix the spatial unflattening of the pixel axis.
     """
     if operator.scheme == "decorrelating":
         raise ValueError("cube baselines need dense or uniform measurements")
     if rows * cols != operator.n1:
         raise ValueError("spatial shape does not factor the pixel count")
-    config = config if config is not None else SolverConfig()
-    flags: set[str] = set()
-    x, result = _splitting_solve(operator, y, epsilon, config,
-                                 _tv_columns_prox(rows, cols, operator.n2, config, flags),
-                                 flags=flags)
+    x, result = _convex_solve(operator, y, epsilon, config,
+                              functools.partial(_tv_pd_step, rows=rows, cols=cols))
     return HsiCube(rows, cols, operator.n2, x), result
 
 
@@ -481,8 +502,7 @@ def l1_ss_synthesis_solve(y, operator: SamplingOperator, H: MixingMatrix,
     the joint iteration is the per-source iteration, and one joint solve
     runs them all (only its stopping test looks at every source at once).
     """
-    config = config if config is not None else SolverConfig()
-    s_hat, result = _splitting_solve(SourceSpaceMap(operator, H), y, epsilon, config,
-                                     _l1_wavelet_prox(wavelet))
+    s_hat, result = _convex_solve(SourceSpaceMap(operator, H), y, epsilon, config,
+                                  _l1_step(wavelet))
     return dataclasses.replace(result, s_hat=s_hat)
 

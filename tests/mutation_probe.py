@@ -76,6 +76,18 @@ MUTANTS = [
      "    if np.linalg.norm(r) <= epsilon:\n        return s.copy()\n    c = basis.to(r)",
      "    if np.linalg.norm(r) < epsilon:\n        return s.copy()\n    c = basis.to(r)",
      "l2ball_project_eig's feasibility test strict (likely equivalent)"),
+    ("M13", "solvers.py",
+     "    return beta, 1.0 / (beta * (8.0 + simplex))",
+     "    return beta, 1.0 / (beta * 8.0)",
+     "the TV dual step without the simplex block's + 1"),
+    ("M14", "solvers.py",
+     "        s_bar = 2 * s_new - s",
+     "        s_bar = s_new",
+     "the TV primal-dual step without its extrapolation"),
+    ("M15", "solvers.py",
+     "np.maximum(np.hypot(p[0], p[1]), 1.0)",
+     "np.maximum(np.hypot(p[0], p[1]) / 1.01, 1.0)",
+     "the TV gradient dual projected onto radius 1.01"),
 ]
 
 

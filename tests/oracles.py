@@ -1,12 +1,14 @@
 """Dense reference computations and a counting core shared by the test
 modules."""
 
+import functools
+
 import numpy as np
 from scipy.optimize import brentq
 
 from csskit.operators import CoreOperator, operator_norm
 from csskit.proximal import TV_DUAL_STEP, soft_threshold
-from csskit.solvers import _splitting_solve
+from csskit.solvers import _convex_solve, _ppxa_step
 
 
 class CountingCore(CoreOperator):
@@ -88,7 +90,7 @@ def reference_simplex_project_rows(S):
     return np.maximum(S - theta[:, None], 0.0)
 
 
-def reference_tv_prox(image, lam, max_iters, tol, dual=None, folded=True):
+def reference_tv_prox(image, lam, max_iters, tol, folded=True):
     """The one-image Chambolle loop, allocating afresh in every iteration.
 
     ``folded`` takes the step of ``tv_prox``, whose rounding it reproduces:
@@ -96,14 +98,11 @@ def reference_tv_prox(image, lam, max_iters, tol, dual=None, folded=True):
     ``folded=False`` is the textbook order, ``g = grad(div p - image/lam)``,
     ``p <- (p + tau*g) / (1 + tau*|g|)``: the same iteration in exact
     arithmetic. Both take the stop test's squared norms as one dot product
-    per dual component.
+    per dual component, and both start from a zero dual.
 
-    ``dual``, when given, is the starting field ``(px, py)`` of shape
-    ``(2, rows, cols)``; the last row of ``px`` and the last column of
-    ``py``, which the divergence ignores, are zeroed first. Returns the
-    prox, the number of iterations run (so tests can tell when two images
-    of a stack stop at different iterations) and the final dual, reset to
-    zero when the ROF guard returns the image itself.
+    Returns the prox, the number of iterations run (so tests can tell when
+    two images of a stack stop at different iterations) and the final dual,
+    reset to zero when the ROF guard returns the image itself.
     """
     def grad(u):
         gx = np.zeros_like(u)
@@ -129,14 +128,8 @@ def reference_tv_prox(image, lam, max_iters, tol, dual=None, folded=True):
         gx, gy = grad(u)
         return float(np.sum(np.sqrt(gx**2 + gy**2)))
 
-    if dual is None:
-        px = np.zeros_like(image)
-        py = np.zeros_like(image)
-    else:
-        px = dual[0].copy()
-        py = dual[1].copy()
-        px[-1, :] = 0.0
-        py[:, -1] = 0.0
+    px = np.zeros_like(image)
+    py = np.zeros_like(image)
     if lam == 0 or image.size < 2:
         return image.copy(), 0, np.stack([px, py])
 
@@ -219,4 +212,5 @@ def synthesis_l1_solve(L, wavelet, y, epsilon, config):
     """Reference: ``min ||theta||_1 s.t. ||y - L W^T theta|| <= epsilon`` by
     the splitting engine iterating on the coefficients ``theta``. Returns
     the certified ``theta`` and its ``SolveResult``."""
-    return _splitting_solve(SynthesisMap(L, wavelet), y, epsilon, config, soft_threshold)
+    return _convex_solve(SynthesisMap(L, wavelet), y, epsilon, config,
+                         functools.partial(_ppxa_step, prior_prox=soft_threshold))
