@@ -442,6 +442,40 @@ def test_iht_applies_the_core_once_per_iteration(det_scene):
     assert core.calls == {"forward": 7, "adjoint": 7}
 
 
+def test_iht_default_step_is_safe_on_a_non_tight_map():
+    # the cell where 50 power iterations gave |M| ~ 11.556 against an exact
+    # 11.582: uniform gaussian 16x16x8 rho=2, experiment seed 3, first cell;
+    # the step, checked against M formed densely, stays below 1/|M|^2
+    seeds = np.random.SeedSequence(3, spawn_key=(0, 0, 0)).generate_state(3)
+    scene = generate_scene(SceneSpec(16, 16, channels=8, rho=2, seed=int(seeds[0])))
+    op = make_sampling_operator("uniform", "gaussian", 256, 8, seed=int(seeds[1]),
+                                m_hat=64, mixing=scene.mixing)
+    y = op.forward(scene.cube.data)
+    wav = Wavelet2D(16, 16)
+    L = SourceSpaceMap(op, scene.mixing)
+    dense = np.empty((op.m, 512))
+    for i in range(512):
+        e = np.zeros(512)
+        e[i] = 1.0
+        dense[:, i] = L.forward(wav.inverse_cols(e.reshape(256, 2)))
+    exact = np.linalg.norm(dense, 2)
+    assert exact == pytest.approx(11.582, abs=1e-3)
+    first = {}
+
+    def monitor(it, step, theta):
+        if (it, step) == (1, 1):
+            first["theta"] = theta.copy()
+
+    iht_ss_solve(RecoveryProblem(noiseless(y), op, wav, 2, mixing=scene.mixing),
+                 SolverConfig(max_iters=1, iht_k=40), step_monitor=monitor)
+    # from theta = 0 the first gradient step is gamma * M^T y
+    grad = (dense.T @ y).reshape(256, 2)
+    gamma = float(np.sum(first["theta"] * grad) / np.sum(grad * grad))
+    np.testing.assert_allclose(first["theta"], gamma * grad, rtol=1e-9, atol=1e-12)
+    assert gamma <= 1.0 / exact**2
+    assert gamma >= 0.75 / exact**2
+
+
 def test_iht_default_step_is_safe_on_a_dense_map():
     # a dense gaussian source map whose 50-step power estimate of ||M|| falls
     # 0.8 % short: the step stays below 1/sigma_max(M)^2 by its margin
