@@ -20,9 +20,12 @@ TV_DUAL_STEP = 0.249
 
 
 def soft_threshold(v, alpha):
-    """Elementwise shrinkage sign(v) * max(|v| - alpha, 0); prox of alpha*l1."""
-    if alpha < 0:
-        raise ValueError("threshold must be nonnegative")
+    """Elementwise shrinkage sign(v) * max(|v| - alpha, 0); prox of alpha*l1.
+
+    ``alpha`` must be nonnegative, and may be inf (the prox is then 0).
+    """
+    if not alpha >= 0:
+        raise ValueError("threshold must be nonnegative, not NaN")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
 
@@ -103,124 +106,52 @@ def tv_norm(image):
 
 
 def tv_prox(image, lam, max_iters=100, tol=1e-5):
-    """Prox of lam*TV at ``image`` via Chambolle's dual projection.
+    """Prox of lam*TV at ``image`` by Chambolle's (2004) dual projection.
 
     ``image`` is one 2-D image or a ``(k, rows, cols)`` stack; each image of
     a stack gets its own prox, computed in one loop over the whole stack.
-    Iterates g = grad(tau*(div p - image/lam)), p <- (p + g) / (1 + |g|),
-    and returns image - lam*div(p). That is Chambolle's step p <- (p +
-    tau*grad(...)) / (1 + tau*|grad(...)|) with tau folded into the
-    divergence term: the same iteration in exact arithmetic, and the same
-    results as that order to rounding, not to the byte. An image stops
+    From a zero dual field p, each iteration takes g = grad(div p -
+    image/lam) and p <- (p + tau*g) / (1 + tau*|g|), with tau =
+    ``TV_DUAL_STEP``, and the result is image - lam*div p. An image stops
     when its relative dual change drops below ``tol``, both norms taken as
-    one dot product per image and dual component: its dual field at that
-    iteration is recorded as its result, and the iterates the loop goes on
-    computing for it, while other images still iterate, are discarded. The
-    ROF objective lam*TV(u) + 0.5*||u - image||^2 of each output image
-    never exceeds its value at the input (guarded explicitly). Every step
-    is elementwise or a per-image sum, so a stack gives exactly the results
-    of separate 2-D calls, also when another image of the stack holds a NaN
-    or inf. The dual starts from zero.
+    one dot product per image and dual component: its dual at that
+    iteration is kept while other images still iterate. The ROF objective
+    lam*TV(u) + 0.5*||u - image||^2 of each output image never exceeds its
+    value at the input (guarded explicitly). Every step is elementwise or a
+    per-image sum over the last two axes, so a stack gives exactly the
+    results of separate 2-D calls, also when another image of the stack
+    holds a NaN or inf. ``lam`` must be finite and nonnegative.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and nonnegative")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError("expected a 2-D image or a (k, rows, cols) stack")
     if lam == 0 or image.shape[-2] * image.shape[-1] < 2:
         return image.copy()
     stack = image.reshape((-1,) + image.shape[-2:])
-    k, rows, cols = stack.shape
-    n = stack.size
-    # each dual component is one flat vector over the stack, led by ``cols``
-    # zeros; its ignored entries stay zero, so div p is
-    # (px - px shifted by cols) + (py - py shifted by 1); the buffers and
-    # their views are built once, and the loop allocates no stack-sized array;
-    # rows 2 and 3 of a buffer take the change of its dual in the next step
-    bufs = np.zeros((2, 4, cols + n))
+    k = len(stack)
 
-    def pair(buf, first, second):
-        # read-only (2, n) view of the contiguous ``buf``: the n entries from
-        # flat index ``first`` over those from ``second``
-        view = np.ndarray((2, n), buffer=buf, offset=first * buf.itemsize,
-                          strides=((second - first) * buf.itemsize, buf.itemsize))
-        view.flags.writeable = False
-        return view
+    def norm(p):
+        # per image, the norm of a (2, k, rows, cols) dual field
+        flat = p.reshape(2, k, 1, -1)
+        dots = np.matmul(flat, flat.reshape(2, k, -1, 1))[..., 0, 0]
+        return np.sqrt(dots[0] + dots[1])
 
-    def views(b):
-        both = b[:, cols:]
-        p, change = both[:2], both[2:]
-        # (px shifted by cols, py shifted by 1): b[0, :n] over b[1, cols-1:-1]
-        shifted = pair(b, 0, 2 * cols + n - 1)
-        # (px, py, dx, dy) of each image, as rows and as columns for the dot
-        # products; last: the ignored entries, the last row of px and the
-        # last column of py
-        return (p, shifted, change, both.reshape(4, k, 1, -1), both.reshape(4, k, -1, 1),
-                p[0].reshape(k, rows, cols)[:, -1], p[1].reshape(k, rows, cols)[..., -1])
-
-    cur, nxt = map(views, bufs)
-    # tau*(div p - image/lam), trailed by ``cols`` zeros for the gradient's
-    # shifts, which one read-only view takes as (d shifted by cols, d
-    # shifted by 1)
-    d = np.zeros(n + cols)
-    dd = d[:n]
-    d_shifted = pair(d, cols, 1)
-    scaled = stack.reshape(n) / lam
-    t = np.empty(n)
-    g = np.empty((2, n))
-    w = np.empty((2, n))
-    g0, g1 = g
-    w0, w1 = w
-    # the gradient is 0 on the last row (x) and the last column (y); set by
-    # assignment, as a multiply by 0 would keep a NaN that a non-finite pixel
-    # leaves there, and the flat shifts would carry it into the next image
-    g0_last = g0.reshape(k, rows, cols)[:, -1]
-    g1_last = g1.reshape(k, rows, cols)[..., -1]
-    # per image and component, the squared dual norm and squared dual change
-    sums = np.empty((4, k, 1, 1))
-    sums_rows = sums.reshape(4, k)
-    # dual field (px, py) of every image, recorded on the iteration its stop
-    # test passes, or after the last one while it is still iterating
-    p_all = np.empty((2, k, rows, cols))
-    live = [True] * k
+    scaled = stack / lam
+    p = np.zeros((2,) + stack.shape)
+    live = np.ones(k, dtype=bool)
     for _ in range(int(max_iters)):
-        p, p_shifted, change, both_rows, both_cols, _, _ = cur
-        q, _, _, _, _, qx_last, qy_last = nxt
-        np.subtract(p, p_shifted, out=g)
-        np.add(g0, g1, out=dd)
-        dd -= scaled
-        dd *= TV_DUAL_STEP
-        # the gradient of tau*(div p - image/lam) is the whole step
-        np.subtract(d_shifted, dd, out=g)
-        g0_last.fill(0.0)
-        g1_last.fill(0.0)
-        np.square(g, out=w)
-        denom = np.sqrt(np.add(w0, w1, out=t), out=t)
-        denom += 1.0
-        np.add(p, g, out=q)
-        q /= denom
-        # the new dual's ignored entries too: denom reads both gradients, so
-        # a NaN in the other one at that pixel would reach them
-        qx_last.fill(0.0)
-        qy_last.fill(0.0)
-        np.subtract(q, p, out=change)
-        np.matmul(both_rows, both_cols, out=sums)
-        cur, nxt = nxt, cur
-        # one dot product per image and component; Python lists, so an
-        # iteration with no stop allocates no array
-        stop = [go and math.sqrt(cx + cy) / max(math.sqrt(bx + by), 1e-12) < tol
-                for go, bx, by, cx, cy in zip(live, *sums_rows.tolist())]
-        if any(stop):
-            p_all[:, stop] = cur[0].reshape(2, k, rows, cols)[:, stop]
-            live = [go and not s for go, s in zip(live, stop)]
-            if not any(live):
-                break
-    p_all[:, live] = cur[0].reshape(2, k, rows, cols)[:, live]
-    # _div, not the flat shifts: its boundary terms (-px[-2] where the loop
-    # has 0 - px[-2]) decide the sign of a zero in u
-    u = stack - lam * _div(p_all[0], p_all[1])
-    rof = lam * _tv(u) + 0.5 * np.sum((u - stack) ** 2, axis=(-2, -1))
-    worse = rof > lam * _tv(stack)
+        g = np.stack(_grad(_div(p[0], p[1]) - scaled))
+        q = (p + TV_DUAL_STEP * g) / (1.0 + TV_DUAL_STEP * np.sqrt(g[0] ** 2 + g[1] ** 2))
+        stop = norm(q - p) / np.maximum(norm(p), 1e-12) < tol
+        # an image that has stopped keeps the dual of the iteration it stopped on
+        p = np.where(live[:, None, None], q, p)
+        live &= ~stop
+        if not live.any():
+            break
+    u = stack - lam * _div(p[0], p[1])
+    worse = lam * _tv(u) + 0.5 * np.sum((u - stack) ** 2, axis=(-2, -1)) > lam * _tv(stack)
     u[worse] = stack[worse]
     return u.reshape(image.shape)
 

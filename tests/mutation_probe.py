@@ -33,8 +33,8 @@ MUTANTS = [
      "    for _ in range(2):\n        w = 1.0 / (1.0 + mu * lam)",
      "l2ball_project_eig's Newton loop cut to 2 steps"),
     ("M2", "proximal.py",
-     "    worse = rof > lam * _tv(stack)",
-     "    worse = rof > np.inf",
+     "(u - stack) ** 2, axis=(-2, -1)) > lam * _tv(stack)",
+     "(u - stack) ** 2, axis=(-2, -1)) > np.inf",
      "tv_prox's ROF guard disabled"),
     ("M3", "solvers.py",
      "converged=bool(converged and residual <= epsilon",

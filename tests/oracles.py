@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from csskit.operators import CoreOperator, operator_norm
-from csskit.proximal import TV_DUAL_STEP, soft_threshold
+from csskit.proximal import soft_threshold
 from csskit.solvers import _convex_solve, _ppxa_step
 
 
@@ -90,19 +90,16 @@ def reference_simplex_project_rows(S):
     return np.maximum(S - theta[:, None], 0.0)
 
 
-def reference_tv_prox(image, lam, max_iters, tol, folded=True):
-    """The one-image Chambolle loop, allocating afresh in every iteration.
+def reference_tv_prox(image, lam, max_iters, tol):
+    """The one-image Chambolle loop in the textbook order, allocating
+    afresh in every iteration: ``g = grad(div p - image/lam)``,
+    ``p <- (p + tau*g) / (1 + tau*|g|)`` from a zero dual, with the stop
+    test's squared norms taken as one dot product per dual component.
+    tau is written out here rather than imported, so that a test comparing
+    against this loop also pins ``TV_DUAL_STEP``.
 
-    ``folded`` takes the step of ``tv_prox``, whose rounding it reproduces:
-    ``g = grad(tau*(div p - image/lam))``, ``p <- (p + g) / (1 + |g|)``.
-    ``folded=False`` is the textbook order, ``g = grad(div p - image/lam)``,
-    ``p <- (p + tau*g) / (1 + tau*|g|)``: the same iteration in exact
-    arithmetic. Both take the stop test's squared norms as one dot product
-    per dual component, and both start from a zero dual.
-
-    Returns the prox, the number of iterations run (so tests can tell when
-    two images of a stack stop at different iterations) and the final dual,
-    reset to zero when the ROF guard returns the image itself.
+    Returns the prox and the number of iterations run, so tests can tell
+    when two images of a stack stop at different iterations.
     """
     def grad(u):
         gx = np.zeros_like(u)
@@ -128,27 +125,22 @@ def reference_tv_prox(image, lam, max_iters, tol, folded=True):
         gx, gy = grad(u)
         return float(np.sum(np.sqrt(gx**2 + gy**2)))
 
+    if lam == 0 or image.size < 2:
+        return image.copy(), 0
     px = np.zeros_like(image)
     py = np.zeros_like(image)
-    if lam == 0 or image.size < 2:
-        return image.copy(), 0, np.stack([px, py])
 
     def sq(v):
         return np.dot(v.ravel(), v.ravel())
 
+    tau = 0.249
     scaled = image / lam
     iters = 0
     for iters in range(1, max_iters + 1):
-        if folded:
-            gx, gy = grad(TV_DUAL_STEP * (div(px, py) - scaled))
-            denom = 1.0 + np.sqrt(gx**2 + gy**2)
-            px_new = (px + gx) / denom
-            py_new = (py + gy) / denom
-        else:
-            gx, gy = grad(div(px, py) - scaled)
-            denom = 1.0 + TV_DUAL_STEP * np.sqrt(gx**2 + gy**2)
-            px_new = (px + TV_DUAL_STEP * gx) / denom
-            py_new = (py + TV_DUAL_STEP * gy) / denom
+        gx, gy = grad(div(px, py) - scaled)
+        denom = 1.0 + tau * np.sqrt(gx**2 + gy**2)
+        px_new = (px + tau * gx) / denom
+        py_new = (py + tau * gy) / denom
         change = np.sqrt(sq(px_new - px) + sq(py_new - py))
         base = max(np.sqrt(sq(px) + sq(py)), 1e-12)
         px, py = px_new, py_new
@@ -156,8 +148,8 @@ def reference_tv_prox(image, lam, max_iters, tol, folded=True):
             break
     u = image - lam * div(px, py)
     if lam * tv(u) + 0.5 * np.sum((u - image) ** 2) > lam * tv(image):
-        return image.copy(), iters, np.zeros((2,) + image.shape)
-    return u, iters, np.stack([px, py])
+        return image.copy(), iters
+    return u, iters
 
 
 def reference_l2ball_project_fb(s, y, op, epsilon, max_iters=200, tol=1e-6, op_norm=None):

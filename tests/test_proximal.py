@@ -58,8 +58,11 @@ def test_soft_threshold_examples():
         soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0), [2.0, 0.0, 0.0])
     v = np.array([1.5, -2.0, 0.25])
     np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
-    with pytest.raises(ValueError):
-        soft_threshold(v, -0.1)
+    # an infinite threshold is the prox of the indicator of {0}
+    np.testing.assert_array_equal(soft_threshold(v, np.inf), np.zeros(3))
+    for alpha in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            soft_threshold(v, alpha)
 
 
 def test_soft_threshold_matches_grid_prox():
@@ -170,9 +173,9 @@ def test_tv_prox_guard_returns_an_image_the_loop_would_worsen():
     spike = np.zeros((3, 2))
     spike[0, 0] = 1.0
     lam = 0.0028
-    gx, gy = _grad(-TV_DUAL_STEP * spike / lam)
-    mag = 1.0 + np.hypot(gx, gy)
-    stepped = spike - lam * _div(gx / mag, gy / mag)
+    gx, gy = _grad(-spike / lam)
+    mag = 1.0 + TV_DUAL_STEP * np.hypot(gx, gy)
+    stepped = spike - lam * _div(TV_DUAL_STEP * gx / mag, TV_DUAL_STEP * gy / mag)
     assert (lam * tv_norm(stepped) + 0.5 * np.sum((stepped - spike) ** 2)
             > lam * tv_norm(spike))
     other = np.random.default_rng(16).normal(size=(3, 2))
@@ -210,12 +213,14 @@ TWO_SCALES = np.stack([
 # the second image stops on iteration 74: the last allowed one, then one past the cap
 @example(stack=TWO_SCALES, lam=0.5, max_iters=74, tol=1e-3)
 @example(stack=TWO_SCALES, lam=0.5, max_iters=73, tol=1e-3)
+@example(stack=TWO_SCALES, lam=0.5, max_iters=60, tol=0.0)
+@example(stack=np.array([[[0.0], [600.0], [600.0]]]), lam=0.0078125, max_iters=2, tol=0.0)
 def test_tv_prox_stack_equals_separate_calls(stack, lam, max_iters, tol):
     got = tv_prox(stack, lam, max_iters, tol)
     assert got.shape == stack.shape
     for i, image in enumerate(stack):
         single = tv_prox(image, lam, max_iters, tol)
-        reference, _, _ = reference_tv_prox(image, lam, max_iters, tol)
+        reference, _ = reference_tv_prox(image, lam, max_iters, tol)
         assert got[i].tobytes() == single.tobytes() == reference.tobytes()
 
 
@@ -224,26 +229,6 @@ def test_two_scale_example_stops_at_different_iterations():
     # other, which stops on iteration 74
     stops = [reference_tv_prox(image, 0.5, 100, 1e-3)[1] for image in TWO_SCALES]
     assert stops == [10, 74]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    stack=image_stacks(),
-    lam=st.floats(1e-3, 1e3),
-    max_iters=st.integers(0, 60),
-)
-@example(stack=TWO_SCALES, lam=0.5, max_iters=60)
-@example(stack=np.array([[[0.0], [600.0], [600.0]]]), lam=0.0078125, max_iters=2)
-def test_tv_prox_matches_the_textbook_iteration(stack, lam, max_iters):
-    # tv_prox folds the dual step into the divergence term, which moves only
-    # the rounding; at tol = 0 both loops run max_iters iterations
-    got = tv_prox(stack, lam, max_iters, 0.0)
-    for i, image in enumerate(stack):
-        want, _, final = reference_tv_prox(image, lam, max_iters, 0.0, folded=False)
-        # both orders round div p - image/lam on the scale of its terms,
-        # which a flat image's cancelling gradient does not shrink
-        scale = np.linalg.norm(image) / lam + np.linalg.norm(final)
-        assert np.linalg.norm(got[i] - want) <= 1e-12 * lam * scale
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,6 +267,12 @@ def test_tv_prox_non_finite_pixels_stay_in_their_image(stack, lam, max_iters, to
 def test_tv_prox_rejects_other_ranks(shape):
     with pytest.raises(ValueError):
         tv_prox(np.ones(shape), 0.5)
+
+
+@pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf, -np.inf])
+def test_tv_prox_rejects_a_weight_that_is_negative_or_not_finite(lam):
+    with pytest.raises(ValueError):
+        tv_prox(np.arange(12.0).reshape(3, 4), lam)
 
 
 def test_simplex_rows_examples():
