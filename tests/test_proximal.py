@@ -213,8 +213,6 @@ TWO_SCALES = np.stack([
 # the second image stops on iteration 74: the last allowed one, then one past the cap
 @example(stack=TWO_SCALES, lam=0.5, max_iters=74, tol=1e-3)
 @example(stack=TWO_SCALES, lam=0.5, max_iters=73, tol=1e-3)
-@example(stack=TWO_SCALES, lam=0.5, max_iters=60, tol=0.0)
-@example(stack=np.array([[[0.0], [600.0], [600.0]]]), lam=0.0078125, max_iters=2, tol=0.0)
 def test_tv_prox_stack_equals_separate_calls(stack, lam, max_iters, tol):
     got = tv_prox(stack, lam, max_iters, tol)
     assert got.shape == stack.shape
@@ -222,6 +220,24 @@ def test_tv_prox_stack_equals_separate_calls(stack, lam, max_iters, tol):
         single = tv_prox(image, lam, max_iters, tol)
         reference, _ = reference_tv_prox(image, lam, max_iters, tol)
         assert got[i].tobytes() == single.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stack=image_stacks(),
+    lam=st.floats(1e-3, 1e3),
+    max_iters=st.integers(0, 60),
+)
+@example(stack=TWO_SCALES, lam=0.5, max_iters=60)
+@example(stack=np.array([[[0.0], [600.0], [600.0]]]), lam=0.0078125, max_iters=2)
+def test_tv_prox_matches_the_textbook_iteration(stack, lam, max_iters):
+    # at tol = 0 the stop test never passes, so every image of the stack runs
+    # all max_iters iterations of the textbook loop and lands on its bytes
+    got = tv_prox(stack, lam, max_iters, 0.0)
+    for i, image in enumerate(stack):
+        want, iters = reference_tv_prox(image, lam, max_iters, 0.0)
+        assert iters == (max_iters if image.size > 1 else 0)
+        assert got[i].tobytes() == want.tobytes()
 
 
 def test_two_scale_example_stops_at_different_iterations():
